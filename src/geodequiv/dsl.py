@@ -3,14 +3,18 @@
 Metric components are given as small closed-form expressions in the chart
 coordinates.  This module provides the parser (recursive descent, no implicit
 multiplication), the immutable AST, a precedence-aware printer whose output
-re-parses to a structurally identical tree, and first/second order dual
-numbers used to push exact derivatives through every evaluation in the
-package.
+re-parses to a structurally identical tree, and first-order dual numbers used
+to push exact first derivatives through evaluations in the package.
 
 Scalars flowing through `Expression.evaluate` may be plain floats, numpy
-arrays (vectorised evaluation over many points at once), or `Dual1`/`Dual2`
+arrays (vectorised evaluation over many points at once), or `Dual1`
 instances.  Dual payloads themselves may be vectorised: a `Dual1` can hold a
 value of shape (N,) and a gradient of shape (N, nvars).
+
+`compile_value_grad` turns a set of expressions into one generated Python
+function computing their values and gradients as straight-line code, the
+same operations as the `Dual1` walk without its per-call tree traversal;
+`MetricField.values_and_grads` runs on it.
 """
 
 from __future__ import annotations
@@ -132,94 +136,9 @@ class Dual1:
         return Dual1(fv, _vx(d1, 1) * self.grad)
 
 
-class Dual2:
-    """Value, gradient and symmetric Hessian in one forward pass."""
-
-    __slots__ = ("value", "grad", "hess")
-    __array_ufunc__ = None
-
-    def __init__(self, value, grad, hess):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
-
-    @staticmethod
-    def seed(values: Sequence[float], index: int, nvars: int) -> "Dual2":
-        v = np.asarray(values, dtype=float)
-        g = np.zeros(v.shape + (nvars,))
-        g[..., index] = 1.0
-        h = np.zeros(v.shape + (nvars, nvars))
-        if v.ndim == 0:
-            return Dual2(float(v), g, h)
-        return Dual2(v, g, h)
-
-    def __add__(self, other):
-        if isinstance(other, Dual2):
-            return Dual2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-        return Dual2(self.value + other, self.grad, self.hess)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual2):
-            return Dual2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
-        return Dual2(self.value - other, self.grad, self.hess)
-
-    def __rsub__(self, other):
-        return Dual2(other - self.value, -self.grad, -self.hess)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual2):
-            cross = _outer(self.grad, other.grad)
-            cross = cross + np.swapaxes(cross, -1, -2)
-            return Dual2(
-                self.value * other.value,
-                _vx(self.value, 1) * other.grad + _vx(other.value, 1) * self.grad,
-                _vx(self.value, 2) * other.hess + _vx(other.value, 2) * self.hess + cross,
-            )
-        return Dual2(self.value * other, _vx(other, 1) * self.grad, _vx(other, 2) * self.hess)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual2):
-            qv = self.value / other.value
-            qg = (self.grad - _vx(qv, 1) * other.grad) / _vx(other.value, 1)
-            cross = _outer(qg, other.grad)
-            cross = cross + np.swapaxes(cross, -1, -2)
-            qh = (self.hess - _vx(qv, 2) * other.hess - cross) / _vx(other.value, 2)
-            return Dual2(qv, qg, qh)
-        return Dual2(self.value / other, self.grad / _vx(other, 1), self.hess / _vx(other, 2))
-
-    def __rtruediv__(self, other):
-        # other / self with constant numerator
-        rv = other / self.value
-        rg = -_vx(rv / self.value, 1) * self.grad
-        cross = _outer(self.grad, self.grad)
-        rh = 2.0 * _vx(rv / (self.value * self.value), 2) * cross - _vx(rv / self.value, 2) * self.hess
-        return Dual2(rv, rg, rh)
-
-    def __neg__(self):
-        return Dual2(-self.value, -self.grad, -self.hess)
-
-    def __pow__(self, e):
-        return _pow_dual(self, e)
-
-    def _chain(self, fv, d1, d2):
-        return Dual2(
-            fv,
-            _vx(d1, 1) * self.grad,
-            _vx(d1, 2) * self.hess + _vx(d2, 2) * _outer(self.grad, self.grad),
-        )
-
-
-def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
-
-
-def _pow_dual(z, e):
+def _pow_dual(z: Dual1, e) -> Dual1:
     """z**e for dual z and constant real e."""
-    if isinstance(e, (Dual1, Dual2)):
+    if isinstance(e, Dual1):
         raise DomainError("^", "non-constant exponent")
     e = float(e)
     v = z.value
@@ -228,19 +147,10 @@ def _pow_dual(z, e):
         if k == 0:
             return z * 0.0 + 1.0
         vkm1 = np.power(v, k - 1)
-        vk = vkm1 * v
-        d1 = k * vkm1
-        if isinstance(z, Dual1):
-            return z._chain(vk, d1)
-        vkm2 = np.power(v, k - 2) if k != 1 else np.zeros_like(np.asarray(v))
-        return z._chain(vk, d1, k * (k - 1) * vkm2)
+        return z._chain(vkm1 * v, k * vkm1)
     if _nonpos(v):
         raise DomainError("^", v)
-    vk = np.power(v, e)
-    d1 = e * np.power(v, e - 1.0)
-    if isinstance(z, Dual1):
-        return z._chain(vk, d1)
-    return z._chain(vk, d1, e * (e - 1.0) * np.power(v, e - 2.0))
+    return z._chain(np.power(v, e), e * np.power(v, e - 1.0))
 
 
 def _pow_plain(v, e: float):
@@ -251,34 +161,26 @@ def _pow_plain(v, e: float):
     return np.power(v, e)
 
 
-# unary functions: plain callable, derivative, second derivative, domain guard
+# unary functions: plain callable, derivative, domain guard
 _FUNCTIONS: dict[str, tuple] = {
-    "sin": (np.sin, np.cos, lambda v: -np.sin(v), None),
-    "cos": (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), None),
-    "exp": (np.exp, np.exp, np.exp, None),
-    "log": (np.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v), _nonpos),
-    "sqrt": (
-        np.sqrt,
-        lambda v: 0.5 / np.sqrt(v),
-        lambda v: -0.25 / (v * np.sqrt(v)),
-        _nonpos,
-    ),
-    "abs": (np.abs, np.sign, lambda v: np.zeros_like(np.asarray(v, dtype=float)), None),
+    "sin": (np.sin, np.cos, None),
+    "cos": (np.cos, lambda v: -np.sin(v), None),
+    "exp": (np.exp, np.exp, None),
+    "log": (np.log, lambda v: 1.0 / v, _nonpos),
+    "sqrt": (np.sqrt, lambda v: 0.5 / np.sqrt(v), _nonpos),
+    "abs": (np.abs, np.sign, None),
 }
 
 
 def apply_function(name: str, z):
     """Apply a builtin unary function to a scalar-like argument."""
-    f, d1, d2, guard = _FUNCTIONS[name]
-    if isinstance(z, (Dual1, Dual2)):
-        if guard is not None and guard(z.value):
-            raise DomainError(name, z.value)
-        if isinstance(z, Dual1):
-            return z._chain(f(z.value), d1(z.value))
-        return z._chain(f(z.value), d1(z.value), d2(z.value))
-    if guard is not None and guard(z):
-        raise DomainError(name, z)
-    return f(z)
+    f, d1, guard = _FUNCTIONS[name]
+    v = z.value if isinstance(z, Dual1) else z
+    if guard is not None and guard(v):
+        raise DomainError(name, v)
+    if isinstance(z, Dual1):
+        return z._chain(f(v), d1(v))
+    return f(v)
 
 
 def d_sqrt(z):
@@ -295,7 +197,7 @@ def d_log(z):
 
 def scalar_value(z):
     """Strip any dual payload, returning the plain float/array value."""
-    if isinstance(z, (Dual1, Dual2)):
+    if isinstance(z, Dual1):
         return z.value
     return z
 
@@ -411,7 +313,7 @@ class Pow(Expression):
 
     def evaluate(self, env):
         b = self.base.evaluate(env)
-        if isinstance(b, (Dual1, Dual2)):
+        if isinstance(b, Dual1):
             return _pow_dual(b, self.exponent_value)
         return _pow_plain(b, self.exponent_value)
 
@@ -641,28 +543,146 @@ def dual1_seeds(x: Sequence[float], nvars: int | None = None, offset: int = 0) -
     return [Dual1.seed(x[..., i], offset + i, total) for i in range(n)]
 
 
-def dual2_seeds(x: Sequence[float], nvars: int | None = None, offset: int = 0) -> list[Dual2]:
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    total = n if nvars is None else nvars
-    return [Dual2.seed(x[..., i], offset + i, total) for i in range(n)]
-
-
-def eval2(expr: Expression, names: Sequence[str], x: Sequence[float]) -> Dual2:
-    """Evaluate expr at x returning value, gradient and Hessian in one pass."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != len(names):
-        raise ValueError("x must supply one value per declared coordinate")
-    seeds = dual2_seeds(x)
-    out = expr.evaluate(eval_env(names, seeds))
-    if not isinstance(out, Dual2):  # constant expression
-        n = len(names)
-        out = Dual2(float(out), np.zeros(n), np.zeros((n, n)))
-    return out
-
-
 def eval_values(expr: Expression, names: Sequence[str], xs) -> np.ndarray:
     """Vectorised plain-value evaluation at a batch of points, shape (N, n)."""
     xs = np.asarray(xs, dtype=float)
     out = expr.evaluate(eval_env(names, [xs[..., i] for i in range(len(names))]))
     return np.broadcast_to(np.asarray(out, dtype=float), xs.shape[:-1]).copy()
+
+
+# ---------------------------------------------------------------------------
+# compiled forward mode
+
+
+def compile_value_grad(exprs: Sequence[Expression], names: Sequence[str]) -> Callable:
+    """Compile expressions to one straight-line value-and-gradient function.
+
+    The result f(*cells) returns a flat tuple holding, for each expression in
+    turn, its value and then its n partial derivatives.  Cells may be float64
+    scalars or equally shaped arrays.  Structurally equal subtrees are
+    computed once across all expressions.  Each line of the generated code is
+    the operation `Dual1` performs, on the same operands in the same order,
+    with the same numpy functions and domain guards, so the outputs are
+    bitwise those of the tree walk over `dual1_seeds`.
+    """
+    tape = _Tape(names)
+    out = []
+    for e in exprs:
+        v, grad = tape.emit(e)
+        out += [v, *(grad or ("zero",) * len(names))]
+    args = ", ".join(f"x{i}" for i in range(len(names)))
+    body = "".join(f"    {line}\n" for line in tape.lines)
+    src = f"def value_grad({args}):\n{body}    return ({', '.join(out)},)\n"
+    scope = dict(tape.consts, power=np.power, _nonpos=_nonpos, DomainError=DomainError,
+                 zero=np.float64(0.0), one=np.float64(1.0))
+    for name, (f, d1, guard) in _FUNCTIONS.items():
+        scope.update({f"f_{name}": f, f"d_{name}": d1, f"guard_{name}": guard})
+    exec(compile(src, "<value_grad>", "exec"), scope)
+    return scope["value_grad"]
+
+
+class _Tape:
+    """Code emitter for `compile_value_grad`.
+
+    A node compiles to (value, grad): the name holding its value and a tuple
+    of n names holding its partials, or None when the node is variable-free
+    (the plain value `Dual1` arithmetic meets).  Nodes are shared by the names
+    of their operands, so equal subtrees are emitted once; Lit constants are
+    keyed by repr, which keeps 0.0 and -0.0 apart.
+    """
+
+    def __init__(self, names: Sequence[str]):
+        n = len(names)
+        self.lines: list[str] = []
+        self.consts: dict[str, object] = {}
+        self.memo: dict[tuple, tuple] = {
+            ("var", name): (f"x{i}", tuple("one" if j == i else "zero" for j in range(n)))
+            for i, name in enumerate(names)
+        }
+
+    def tmp(self, src: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {src}")
+        return name
+
+    def each(self, fmt: str, *grads) -> tuple[str, ...]:
+        return tuple(self.tmp(fmt.format(*parts)) for parts in zip(*grads))
+
+    def emit(self, e: Expression) -> tuple:
+        if isinstance(e, Var):
+            return self.memo[("var", e.name)]
+        if isinstance(e, Lit):
+            key = ("lit", type(e.value), repr(e.value))
+            if key not in self.memo:
+                name = f"c{len(self.consts)}"
+                self.consts[name] = e.value
+                self.memo[key] = (name, None)
+            return self.memo[key]
+        if isinstance(e, (Neg, Pow, Call)):
+            kids = (self.emit(e.base if isinstance(e, Pow) else e.arg),)
+        else:
+            kids = (self.emit(e.l), self.emit(e.r))
+        extra = e.exponent_value if isinstance(e, Pow) else getattr(e, "func", None)
+        key = (type(e), repr(extra), *(v for v, _ in kids))
+        if key not in self.memo:
+            self.memo[key] = self.op(e, *kids)
+        return self.memo[key]
+
+    def op(self, e: Expression, l: tuple, r: tuple | None = None) -> tuple:
+        (a, A), (b, B) = l, r or (None, None)
+        if isinstance(e, Neg):
+            return self.tmp(f"-{a}"), None if A is None else self.each("-{}", A)
+        if isinstance(e, Pow):
+            return self.power(a, A, float(e.exponent_value))
+        if isinstance(e, Call):
+            return self.call(e.func, a, A)
+        sym = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
+        if A is None and B is None:
+            return self.tmp(f"{a} {sym} {b}"), None
+        if isinstance(e, (Add, Sub)):
+            if B is None:
+                return self.tmp(f"{a} {sym} {b}"), A
+            if A is None:  # Dual1.__radd__ / __rsub__
+                if isinstance(e, Add):
+                    return self.tmp(f"{b} + {a}"), B
+                return self.tmp(f"{a} - {b}"), self.each("-{}", B)
+            return self.tmp(f"{a} {sym} {b}"), self.each(f"{{}} {sym} {{}}", A, B)
+        if isinstance(e, Mul):
+            if B is None:
+                return self.tmp(f"{a} * {b}"), self.each(f"{b} * {{}}", A)
+            if A is None:  # Dual1.__rmul__
+                return self.tmp(f"{b} * {a}"), self.each(f"{a} * {{}}", B)
+            return self.tmp(f"{a} * {b}"), self.each(f"{a} * {{}} + {b} * {{}}", B, A)
+        q = self.tmp(f"{a} / {b}")
+        if B is None:
+            return q, self.each(f"{{}} / {b}", A)
+        if A is None:  # Dual1.__rtruediv__
+            w = self.tmp(f"-({q} / {b})")
+            return q, self.each(f"{w} * {{}}", B)
+        return q, self.each(f"({{}} - {q} * {{}}) / {b}", A, B)
+
+    def power(self, a: str, A, e: float) -> tuple:
+        if e == int(e):
+            k = int(e)
+            if A is None:
+                return self.tmp(f"power({a}, {k})"), None
+            if k == 0:
+                return self.tmp(f"{a} * 0.0 + 1.0"), self.each("0.0 * {}", A)
+            p = self.tmp(f"power({a}, {k - 1})")
+            d = self.tmp(f"{k} * {p}")
+            return self.tmp(f"{p} * {a}"), self.each(f"{d} * {{}}", A)
+        self.lines.append(f"if _nonpos({a}): raise DomainError('^', {a})")
+        v = self.tmp(f"power({a}, {e!r})")
+        if A is None:
+            return v, None
+        d = self.tmp(f"{e!r} * power({a}, {e - 1.0!r})")
+        return v, self.each(f"{d} * {{}}", A)
+
+    def call(self, func: str, a: str, A) -> tuple:
+        if _FUNCTIONS[func][2] is not None:
+            self.lines.append(f"if guard_{func}({a}): raise DomainError({func!r}, {a})")
+        v = self.tmp(f"f_{func}({a})")
+        if A is None:
+            return v, None
+        d = self.tmp(f"d_{func}({a})")
+        return v, self.each(f"{d} * {{}}", A)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import dsl, matops
-from .dsl import Dual1, Dual2, Expression, eval_env, parse
+from .dsl import Expression, eval_env, parse
 
 
 class ChartDomainError(ValueError):
@@ -132,32 +132,6 @@ class PhasePoint:
         return self.x.shape[0]
 
 
-@dataclass(frozen=True)
-class MetricAt:
-    """Pointwise metric data: Dual2 entries plus a Cholesky factor of the
-    value matrix."""
-
-    entries: np.ndarray  # (n, n) object array of Dual2
-    values: np.ndarray  # (n, n) float
-    chol: np.ndarray  # (n, n) float lower triangular
-
-    def gradient(self) -> np.ndarray:
-        n = self.values.shape[0]
-        out = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j, :] = self.entries[i, j].grad
-        return out
-
-    def hessian(self) -> np.ndarray:
-        n = self.values.shape[0]
-        out = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.entries[i, j].hess
-        return out
-
-
 class MetricField:
     """Symmetric metric tensor with expression entries (upper triangle stored)."""
 
@@ -171,6 +145,14 @@ class MetricField:
                     raise ValueError("metric entry references undeclared coordinates")
         self.chart = chart
         self.upper = tuple(tuple(row) for row in upper)
+        # flat output slots of the compiled entries: entry (i, j) of the
+        # upper triangle holds its value, then its n partials
+        rows, cols = np.triu_indices(n)
+        slot = np.empty((n, n), dtype=int)
+        slot[rows, cols] = slot[cols, rows] = np.arange(rows.size) * (n + 1)
+        self._value_index = slot
+        self._grad_index = slot[..., None] + 1 + np.arange(n)
+        self._value_grad = None
 
     @staticmethod
     def from_strings(chart: Chart, grid: Sequence[Sequence[str]]) -> "MetricField":
@@ -216,54 +198,34 @@ class MetricField:
     def values_at(self, x) -> np.ndarray:
         return matops.values_matrix(self.eval_cells(list(np.asarray(x, dtype=float))))
 
-    def metric_at(self, x) -> MetricAt:
-        x = np.asarray(x, dtype=float)
-        n = self.dim
-        cells = self.eval_cells(dsl.dual2_seeds(x))
-        for i in range(n):
-            for j in range(n):
-                if not isinstance(cells[i, j], Dual2):
-                    cells[i, j] = Dual2(float(cells[i, j]), np.zeros(n), np.zeros((n, n)))
-        vals = matops.values_matrix(cells)
-        try:
-            chol = np.linalg.cholesky(vals)
-        except np.linalg.LinAlgError:
-            minor = _failing_minor(vals)
-            raise matops.NotPositiveDefiniteError(minor, f"at x = {x.tolist()}")
-        return MetricAt(cells, vals, chol)
-
     def values_and_grads(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Batched values and coordinate gradients of the entries.
+        """Values and coordinate gradients of the entries.
 
-        xs has shape (N, n); returns (N, n, n) values and (N, n, n, n) grads
-        with the derivative index last.
+        xs has shape (N, n) or (n,); returns (N, n, n) values and
+        (N, n, n, n) grads with the derivative index last, without the N
+        axis for a single point.  The entries are compiled on first use to
+        one generated function (`dsl.compile_value_grad`).
         """
+        if self._value_grad is None:
+            exprs = [e for row in self.upper for e in row]
+            self._value_grad = dsl.compile_value_grad(exprs, self.chart.names)
         xs = np.asarray(xs, dtype=float)
-        squeeze = xs.ndim == 1
-        if squeeze:
-            xs = xs[None, :]
-        n = self.dim
-        N = xs.shape[0]
-        cells = self.eval_cells(dsl.dual1_seeds(xs))
-        vals = np.empty((N, n, n))
-        grads = np.zeros((N, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                c = cells[i, j]
-                if isinstance(c, Dual1):
-                    vals[:, i, j] = np.broadcast_to(np.asarray(c.value), (N,))
-                    grads[:, i, j, :] = np.broadcast_to(np.asarray(c.grad), (N, n))
-                else:
-                    vals[:, i, j] = np.broadcast_to(np.asarray(c, dtype=float), (N,))
-        if squeeze:
-            return vals[0], grads[0]
-        return vals, grads
+        flat = self._value_grad(*xs.T)
+        out = np.empty(xs.shape[:-1] + (len(flat),))
+        slots = out.T
+        for k, v in enumerate(flat):
+            slots[k] = v
+        return np.take(out, self._value_index, axis=-1), np.take(out, self._grad_index, axis=-1)
 
     def check_positive_definite(self, samples: int = 32, seed: int = 0) -> None:
         """Cholesky spot check over the chart's sample box."""
         rng = np.random.default_rng(seed)
         for x in self.chart.box_points(samples, rng):
-            self.metric_at(x)
+            vals = self.values_at(x)
+            try:
+                np.linalg.cholesky(vals)
+            except np.linalg.LinAlgError:
+                raise matops.NotPositiveDefiniteError(_failing_minor(vals), f"at x = {x.tolist()}")
 
     def norm(self, x, xi) -> float:
         g = self.values_at(x)
@@ -336,9 +298,14 @@ class Trajectory:
             raise ValueError("trajectory times must be strictly increasing")
         chart = self.metric.chart
         if chart.domain is not None:
-            for x in self.xs:
-                if not chart.contains(x, slack=1e-9):
-                    raise ChartDomainError(f"trajectory sample {x.tolist()} left the chart domain")
+            # Chart.contains with slack 1e-9, evaluated on all samples at once
+            env = eval_env(chart.names, list(self.xs.T))
+            margin = np.min([np.broadcast_to(f.evaluate(env), len(self.xs))
+                             for f in chart.domain_factors or (chart.domain,)], axis=0)
+            outside = np.flatnonzero(~(margin > -1e-9))
+            if outside.size:
+                x = self.xs[outside[0]]
+                raise ChartDomainError(f"trajectory sample {x.tolist()} left the chart domain")
 
     def __len__(self) -> int:
         return self.ts.shape[0]

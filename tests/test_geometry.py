@@ -4,6 +4,7 @@ route through the metric entries, and the integrator against closed-form
 geodesics (straight lines, great circles)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -104,17 +105,17 @@ def test_box_points_respect_domain():
 
 def test_constant_identity_metric():
     g = euclid_metric(2)
-    at = g.metric_at([0.3, -0.4])
-    assert np.array_equal(at.values, np.eye(2))
-    assert np.array_equal(at.gradient(), np.zeros((2, 2, 2)))
+    vals, grads = g.values_and_grads([0.3, -0.4])
+    assert np.array_equal(vals, np.eye(2))
+    assert np.array_equal(grads, np.zeros((2, 2, 2)))
 
 
 def test_exponential_entry_gradient_at_origin():
     chart = euclidean_chart(2)
     g = metric_from(chart, [["exp(2*x1)", "0"], ["0", "exp(2*x1)"]])
-    at = g.metric_at([0.0, 0.0])
-    assert np.allclose(at.values, np.eye(2))
-    assert np.allclose(at.gradient()[0, 0], [2.0, 0.0])
+    vals, grads = g.values_and_grads([0.0, 0.0])
+    assert np.allclose(vals, np.eye(2))
+    assert np.allclose(grads[0, 0], [2.0, 0.0])
 
 
 def test_negative_entry_fails_definiteness_check():
@@ -241,6 +242,23 @@ def test_batch_integration_matches_single():
     for p, tb in zip(pts, batch):
         ts = integrate_geodesic(g, p, 2.0)
         assert np.allclose(tb.xs[-1], ts.xs[-1], atol=1e-9)
+
+
+@pytest.mark.parametrize("factors", [True, False])
+def test_trajectory_names_first_sample_outside_domain(factors):
+    names = ("u", "v")
+    if factors:  # the corner sample (-0.5, -0.5) has u*v > 0 but crosses both walls
+        chart = Chart(names, domain_factors=(parse("u", names), parse("v", names)))
+        bad = [-0.5, -0.5]
+    else:
+        chart = Chart(names, domain=parse("1 - u^2 - v^2", names))
+        bad = [1.5, 0.0]
+    g = MetricField.from_diagonal(chart, [parse("1", names), parse("1", names)])
+    xis = np.ones((4, 2))
+    samples = [[0.5, 0.5], [-5e-10, 0.5], bad, [2.0, 2.0]]  # 1e-9 slack admits the second
+    Trajectory(g, np.arange(2.0), samples[:2], xis[:2])
+    with pytest.raises(ChartDomainError, match=re.escape(str(bad))):
+        Trajectory(g, np.arange(4.0), samples, xis)
 
 
 def test_trajectory_requires_increasing_times():
