@@ -632,7 +632,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DslError, ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (DslError, ValueError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.spatial import cKDTree
 
 from . import dsl, matops
 from .dsl import Expression, eval_env, parse
@@ -393,59 +395,6 @@ def integrate_geodesic(
     return traj
 
 
-def integrate_geodesics_batch(
-    metric: MetricField,
-    points: Sequence[PhasePoint],
-    t_end: float,
-    opts: GeodesicOptions | None = None,
-) -> list[Trajectory]:
-    """Integrate many geodesics of one metric as a single stacked system.
-
-    Only valid for charts without a domain predicate (no per-trajectory exit
-    events).  Error control applies to the stacked state, which is at least
-    as strict per trajectory up to the RMS norm mixing.
-    """
-    opts = opts or GeodesicOptions()
-    chart = metric.chart
-    if chart.domain is not None:
-        return [integrate_geodesic(metric, p, t_end, opts) for p in points]
-    n = metric.dim
-    B = len(points)
-    y0 = np.concatenate([np.concatenate([p.x, p.xi]) for p in points])
-
-    def rhs(t, y):
-        z = y.reshape(B, 2 * n)
-        xs, xis = z[:, :n], z[:, n:]
-        vals, grads = metric.values_and_grads(xs)
-        gamma = _christoffel_from(vals, grads)
-        acc = -np.einsum("bkij,bi,bj->bk", gamma, xis, xis)
-        return np.concatenate([xis, acc], axis=1).reshape(-1)
-
-    t_eval = np.linspace(0.0, t_end, max(2, opts.samples))
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        y0,
-        method="RK45",
-        rtol=opts.rtol,
-        atol=opts.atol,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise IntegrationError(f"batched geodesic integration failed: {sol.message}")
-    out = []
-    ys = sol.y.T.reshape(len(sol.t), B, 2 * n)
-    for b in range(B):
-        traj = Trajectory(metric, sol.t, ys[:, b, :n], ys[:, b, n:])
-        E = traj.energies()
-        drift = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-300))
-        traj.energy_drift = drift
-        if drift > opts.energy_tol:
-            raise EnergyDriftError(drift, opts.energy_tol)
-        out.append(traj)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # arc length and curve comparison
 
@@ -482,13 +431,14 @@ def arc_length(traj: Trajectory, metric: MetricField) -> float:
 
 def curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     """One-sided distance: max over points of c1 of the Euclidean-in-chart
-    distance to the piecewise linear interpolation of c2.
+    distance to the piecewise linear interpolation of c2.  Both curves must
+    be finite.
 
-    The search first scans a band of segments around the index-aligned
-    position (curves compared here are resampled over a common arc-length
-    grid, so near-coincident curves stay index-aligned); any point whose
-    banded distance is not already negligible gets an exact pass over all
-    segments, keeping the result the true max-min distance.
+    The distance dv from a point to the nearest vertex of c2 bounds its
+    distance to the polyline from above, and every point of a segment lies
+    within half the longest segment, h, of one of the segment's ends.  So
+    the nearest segment has an end within dv + h of the point, and only the
+    segments at the vertices inside that ball are measured, each exactly.
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
@@ -497,25 +447,23 @@ def curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     a = c2[:-1]  # (M, n) segment starts
     d = c2[1:] - a  # (M, n)
     dd = np.einsum("mj,mj->m", d, d)
+    h = 0.5 * np.sqrt(np.max(dd))
     dd = np.where(dd == 0.0, 1.0, dd)
-    M, P = len(a), len(c1)
-
-    best = np.full(P, np.inf)
-    base = np.minimum((np.arange(P) * (M / max(P - 1, 1))).astype(np.int64), M - 1)
-    for k in range(-64, 65):
-        j = np.clip(base + k, 0, M - 1)
-        w = c1 - a[j]
-        t = np.clip(np.einsum("pj,pj->p", w, d[j]) / dd[j], 0.0, 1.0)
-        diff = w - t[:, None] * d[j]
-        np.minimum(best, np.einsum("pj,pj->p", diff, diff), out=best)
-
-    hard = np.flatnonzero(best > 1e-8)  # banded distance above 1e-4
-    for lo in range(0, hard.size, 512):
-        rows = hard[lo:lo + 512]
-        w = c1[rows][:, None, :] - a[None, :, :]
-        t = np.clip(np.einsum("pmj,mj->pm", w, d) / dd, 0.0, 1.0)
-        diff = w - t[..., None] * d[None, :, :]
-        best[rows] = np.min(np.einsum("pmj,pmj->pm", diff, diff), axis=1)
+    tree = cKDTree(c2)
+    dv, nearest = tree.query(c1)
+    balls = tree.query_ball_point(c1, dv + h)
+    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(c1))
+    # the nearest vertex is listed on its own too, in case rounding leaves
+    # it out of its ball; vertex k ends segments k - 1 and k
+    verts = np.concatenate([nearest, np.fromiter(chain.from_iterable(balls), np.intp, sizes.sum())])
+    points = np.arange(len(c1))
+    rows = np.repeat(np.concatenate([points, np.repeat(points, sizes)]), 2)
+    segs = np.column_stack([verts - 1, verts]).ravel().clip(0, len(a) - 1)
+    w = c1[rows] - a[segs]
+    t = np.clip(np.einsum("kj,kj->k", w, d[segs]) / dd[segs], 0.0, 1.0)
+    diff = w - t[:, None] * d[segs]
+    best = np.full(len(c1), np.inf)
+    np.minimum.at(best, rows, np.einsum("kj,kj->k", diff, diff))
     return float(np.sqrt(np.max(best)))
 
 
@@ -554,9 +502,11 @@ def geodesic_coincidence(
     t_end = float(length)
     tb = integrate_geodesic(gbar, PhasePoint(x0, vb), t_end, opts)
     for _ in range(8):
-        if tb.left_domain or arc_length(tb, g) >= length:
+        if tb.left_domain:
             break
         covered = arc_length(tb, g)
+        if covered >= length:
+            break
         t_end *= max(1.5, 1.2 * float(length) / max(covered, 1e-12))
         tb = integrate_geodesic(gbar, PhasePoint(x0, vb), t_end, opts)
     window = min(float(length), arc_length(tg, g), arc_length(tb, g))

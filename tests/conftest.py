@@ -13,7 +13,6 @@ from geodequiv import (
     battery,
     build_pair,
     integrate_geodesic,
-    integrate_geodesics_batch,
     resolve_pair,
 )
 from geodequiv.cli import sample_phase_points
@@ -63,10 +62,7 @@ def geodesic_sets(equiv_pairs):
     for name, pair in equiv_pairs.items():
         rng = np.random.default_rng(GEODESIC_SEED)
         starts = sample_phase_points(pair, 20, rng)
-        if pair.chart.domain is None:
-            out[name] = integrate_geodesics_batch(pair.g, starts, T_END, opts)
-        else:
-            out[name] = [integrate_geodesic(pair.g, p, T_END, opts) for p in starts]
+        out[name] = [integrate_geodesic(pair.g, p, T_END, opts) for p in starts]
     return out
 
 

@@ -86,6 +86,21 @@ def test_missing_pair_is_config_error(capsys):
     assert "pair" in err
 
 
+def test_float_overflow_exits_2_with_named_error(capsys, tmp_path):
+    # a**(k + 2) on Python floats in coeffs_from_closed_form overflows for
+    # an eigenvalue exp(800 x) near x = 1
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"pair": {
+        "coordinates": ["x", "y"], "box": [[-1, 1], [-1, 1]],
+        "g[1][1]": "1", "g[2][2]": "1", "gbar[1][1]": "exp(800*x)", "gbar[2][2]": "1",
+    }}))
+    code, out, err = run_cli(capsys, "factory", "--config", str(config),
+                             "--points", "5", "--trajectories", "2")
+    assert code == 2
+    assert err.startswith("error [OverflowError]: ")
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from geodequiv.dsl import parse
 from geodequiv.geometry import (
@@ -23,7 +24,6 @@ from geodequiv.geometry import (
     curve_distance,
     geodesic_rhs,
     integrate_geodesic,
-    integrate_geodesics_batch,
     symmetric_curve_distance,
     trajectory_to_csv,
     trajectory_to_json,
@@ -235,15 +235,6 @@ def test_start_outside_domain_raises():
         integrate_geodesic(g, PhasePoint([-0.5], [1.0]), 1.0)
 
 
-def test_batch_integration_matches_single():
-    g = euclid_metric(2)
-    pts = [PhasePoint([0.0, 0.0], [1.0, 0.2]), PhasePoint([0.1, -0.2], [0.5, -1.0])]
-    batch = integrate_geodesics_batch(g, pts, 2.0)
-    for p, tb in zip(pts, batch):
-        ts = integrate_geodesic(g, p, 2.0)
-        assert np.allclose(tb.xs[-1], ts.xs[-1], atol=1e-9)
-
-
 @pytest.mark.parametrize("factors", [True, False])
 def test_trajectory_names_first_sample_outside_domain(factors):
     names = ("u", "v")
@@ -327,25 +318,66 @@ def test_parallel_offset_segments():
     assert symmetric_curve_distance(c1, c2) == pytest.approx(0.1, rel=1e-12)
 
 
-def test_distance_against_exhaustive_search():
-    def brute(c1, c2):
-        a, d = c2[:-1], np.diff(c2, axis=0)
-        dd = np.einsum("mj,mj->m", d, d)
-        worst = 0.0
-        for p in c1:
-            w = p - a
-            t = np.clip(np.einsum("mj,mj->m", w, d) / dd, 0, 1)
-            diff = w - t[:, None] * d
-            worst = max(worst, np.sqrt(np.min(np.einsum("mj,mj->m", diff, diff))))
-        return worst
+def brute_curve_distance(c1, c2):
+    """Reference: every point of c1 against every segment of c2, one point at
+    a time; a single vertex is one zero-length segment."""
+    if len(c2) == 1:
+        c2 = np.vstack([c2, c2])
+    a, d = c2[:-1], np.diff(c2, axis=0)
+    dd = np.einsum("mj,mj->m", d, d)
+    dd = np.where(dd == 0.0, 1.0, dd)
+    worst = 0.0
+    for p in c1:
+        w = p - a
+        t = np.clip(np.einsum("mj,mj->m", w, d) / dd, 0, 1)
+        diff = w - t[:, None] * d
+        worst = max(worst, np.min(np.einsum("mj,mj->m", diff, diff)))
+    return float(np.sqrt(worst))
 
+
+def test_distance_against_exhaustive_search():
     rng = np.random.default_rng(2)
     for _ in range(6):
         c1 = np.cumsum(rng.normal(size=(rng.integers(20, 200), 3)) * 0.2, axis=0)
         c2 = np.cumsum(rng.normal(size=(rng.integers(20, 200), 3)) * 0.2, axis=0)
-        assert curve_distance(c1, c2) == pytest.approx(brute(c1, c2), rel=1e-12)
+        assert curve_distance(c1, c2) == pytest.approx(brute_curve_distance(c1, c2), rel=1e-12)
         near = c1 + 1e-7 * rng.normal(size=c1.shape)
-        assert curve_distance(c1, near) == pytest.approx(brute(c1, near), rel=1e-9)
+        assert curve_distance(c1, near) == pytest.approx(brute_curve_distance(c1, near), rel=1e-9)
+
+
+@st.composite
+def curve_cases(draw, case):
+    """(c1, c2) polylines in 1 to 4 dimensions shaped for one case."""
+    n = draw(st.integers(1, 4))
+    coord = st.floats(-10.0, 10.0, allow_nan=False)
+
+    def polyline(min_size, max_size=30):
+        rows = st.lists(st.lists(coord, min_size=n, max_size=n), min_size=min_size, max_size=max_size)
+        return draw(rows.map(lambda v: np.array(v, dtype=float).reshape(-1, n)))
+
+    c1 = polyline(1)
+    if case == "single-vertex":
+        return c1, polyline(1, 1)
+    c2 = polyline(2)
+    if case == "zero-length":
+        repeats = draw(st.lists(st.integers(1, 3), min_size=len(c2), max_size=len(c2)))
+        return c1, np.repeat(c2, repeats, axis=0)
+    if case == "far-apart":
+        return c1, c2 + draw(st.sampled_from([1e3, -1e4]))
+    # c2 goes out and comes back along nearly the same path, and c1 runs c2
+    # backwards: each point has two close legs, and its nearest segment is
+    # often far in index from the aligned one
+    back = c2[::-1] + draw(st.floats(-1e-3, 1e-3))
+    c2 = np.vstack([c2, back])
+    return c2[::-1] + draw(st.floats(-1e-2, 1e-2)), c2
+
+
+@pytest.mark.parametrize("case", ["zero-length", "single-vertex", "far-apart", "doubles-back"])
+@given(data=st.data())
+def test_distance_matches_brute_force(case, data):
+    c1, c2 = data.draw(curve_cases(case))
+    want = brute_curve_distance(c1, c2)
+    assert abs(curve_distance(c1, c2) - want) <= 4 * np.spacing(want)
 
 
 def test_distance_handles_single_point_reference():
