@@ -220,13 +220,14 @@ def sample_phase_points(
     """Draw base points uniformly from the chart's sample box (respecting the
     domain predicate) and directions uniformly from the unit g-sphere."""
     xs = pair.g.chart.box_points(count, rng)
-    out = []
-    for x in xs:
+    xis = np.empty_like(xs)
+    for k in range(count):
         xi = rng.standard_normal(pair.dim)
         while float(np.linalg.norm(xi)) < 1e-12:
             xi = rng.standard_normal(pair.dim)
-        out.append(PhasePoint(x, xi / pair.g.norm(x, xi)))
-    return out
+        xis[k] = xi
+    xis /= pair.g.norm(xs, xis)[:, None]
+    return [PhasePoint(x, xi) for x, xi in zip(xs, xis)]
 
 
 def _max_workers(n_jobs: int) -> int:
@@ -363,44 +364,38 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
     phase = sample_phase_points(pair, cfg.points, rng)
-
-    def one_point(job):
-        pid, p = job
-        fi = factory_integrals(pair, p)
-        closed = coeffs_from_closed_form(pair, p)
-        coeffs = np.asarray(fi.coeffs.coeffs, dtype=float)
+    xs = np.array([p.x for p in phase])
+    xis = np.array([p.xi for p in phase])
+    fi = factory_integrals(pair, xs, xis)
+    closed = coeffs_from_closed_form(pair, xs, xis)
+    rows = []
+    for pid, coeffs in enumerate(fi.coeffs.coeffs):
         scale = float(np.linalg.norm(coeffs))
-        return {
+        rows.append({
             "point_id": pid,
-            "a": _finite(fi.a),
+            "a": _finite(fi.a[pid]),
             "coeffs": [float(c) for c in coeffs],
-            "closed_form": [float(c) for c in closed],
-            "remainder": _finite(fi.remainder),
-            "remainder_rel": _finite(abs(fi.remainder) / scale),
-            "crosscheck": _finite(np.max(np.abs(coeffs - closed))),
-        }
-
-    rows = _pmap(one_point, list(enumerate(phase)))
-    rows.sort(key=lambda r: r["point_id"])
+            "closed_form": [float(c) for c in closed[pid]],
+            "remainder": _finite(fi.remainder[pid]),
+            "remainder_rel": _finite(abs(fi.remainder[pid]) / scale),
+            "crosscheck": _finite(np.max(np.abs(coeffs - closed[pid]))),
+        })
     rem_max = max(r["remainder_rel"] for r in rows)
     cross_max = max(r["crosscheck"] for r in rows)
 
+    # conservation: integrate on the pool, then take the factory route once
+    # over every step-th sample of all trajectories
     starts = sample_phase_points(pair, cfg.trajectories, rng)
     opts = GeodesicOptions(energy_tol=1e-7)
-
-    def one_trajectory(job):
-        pid, p0 = job
-        traj = integrate_geodesic(pair.g, p0, cfg.t_end, opts)
-        step = max(1, len(traj) // 50)
-        cs = np.array([
-            factory_integrals(pair, traj.point(k)).coeffs.coeffs
-            for k in range(0, len(traj), step)
-        ])
+    trajs = _pmap(lambda p0: integrate_geodesic(pair.g, p0, cfg.t_end, opts), starts)
+    picks = [np.arange(0, len(t), max(1, len(t) // 50)) for t in trajs]
+    fc = factory_integrals(pair, np.concatenate([t.xs[k] for t, k in zip(trajs, picks)]),
+                           np.concatenate([t.xis[k] for t, k in zip(trajs, picks)]))
+    splits = np.cumsum([len(k) for k in picks])[:-1]
+    traj_rows = []
+    for pid, cs in enumerate(np.split(fc.coeffs.coeffs, splits)):
         drift = np.max(np.abs(cs - cs[0]), axis=0) / np.maximum(np.abs(cs[0]), 1e-12)
-        return {"point_id": pid, "coeff_drift": [float(d) for d in drift]}
-
-    traj_rows = _pmap(one_trajectory, list(enumerate(starts)))
-    traj_rows.sort(key=lambda r: r["point_id"])
+        traj_rows.append({"point_id": pid, "coeff_drift": [float(d) for d in drift]})
     drift_max = max(max(r["coeff_drift"]) for r in traj_rows)
 
     checks = [

@@ -21,14 +21,15 @@ the overall orientation cancels; Delta is normalised to leading coefficient
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import dsl, matops
-from .dsl import Dual1, d_exp, d_sqrt
-from .geometry import MetricField, PhasePoint
+from .dsl import Dual1, d_sqrt
+from .geometry import MetricField, _batch_values
 from .integrals import MetricPair, integrals_at
 
 
@@ -36,89 +37,114 @@ from .integrals import MetricPair, integrals_at
 # pfaffian
 
 
-def pfaffian(A: np.ndarray) -> float:
-    """Pfaffian of a real skew-symmetric matrix.
+def pfaffian(A: np.ndarray):
+    """Pfaffian of a real skew-symmetric matrix, or of each matrix of a
+    (..., 2m, 2m) stack.
 
-    Skew-symmetric Gaussian elimination with pivoting; each row/column swap
-    flips the sign.  The canonical block form diag([[0,1],[-1,0]], ...) has
-    Pfaffian +1.  Odd dimension raises, as the Pfaffian is undefined there.
+    Skew-symmetric Gaussian elimination with pivoting (the Parlett-Reid
+    scheme; M. Wimmer, ACM TOMS 38 (2012), arXiv:1102.3440), one loop for
+    the whole stack; each row/column swap flips the sign of its own matrix,
+    and a zero pivot zeroes only its own matrix's value.  The canonical block
+    form diag([[0,1],[-1,0]], ...) has Pfaffian +1.  Odd dimension raises, as
+    the Pfaffian is undefined there, and so does a stack with any member that
+    is not skew-symmetric.  A single matrix gives a float, a stack an array
+    of its leading shape.
     """
     A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("pfaffian needs a square matrix")
+    n = A.shape[-1]
     if n % 2 != 0:
         raise ValueError("pfaffian is defined for even dimension only")
-    if n == 0:
-        return 1.0
-    if not np.allclose(A, -A.T, atol=1e-10 * (1.0 + np.max(np.abs(A)))):
+    batch = A.shape[:-2]
+    A = A.reshape((math.prod(batch), n, n))
+    if n and not _is_skew(A):
         raise ValueError("matrix is not skew-symmetric")
-    val = 1.0
+    val = np.ones(len(A))
+    dead = np.zeros(len(A), dtype=bool)
     for k in range(0, n - 1, 2):
-        pivot = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
-        if A[pivot, k] == 0.0:
-            return 0.0
-        if pivot != k + 1:
-            A[[k + 1, pivot]] = A[[pivot, k + 1]]
-            A[:, [k + 1, pivot]] = A[:, [pivot, k + 1]]
-            val = -val
-        val *= A[k, k + 1]
+        pivot = k + 1 + np.argmax(np.abs(A[:, k + 1:, k]), axis=1)
+        dead |= A[np.arange(len(A)), pivot, k] == 0.0
+        s = np.flatnonzero(pivot != k + 1)
+        p = pivot[s]
+        A[s, k + 1], A[s, p] = A[s, p], A[s, k + 1]
+        A[s, :, k + 1], A[s, :, p] = A[s, :, p], A[s, :, k + 1]
+        val[s] = -val[s]
+        val *= A[:, k, k + 1]
         if k + 2 < n:
-            tau = A[k, k + 2:] / A[k, k + 1]
-            col = A[k + 2:, k + 1]
-            A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return float(val)
+            # a dead matrix divides by 1: its value is discarded, and this
+            # keeps its later steps finite
+            tau = A[:, k, k + 2:] / np.where(dead, 1.0, A[:, k, k + 1])[:, None]
+            col = A[:, k + 2:, k + 1]
+            # rank-2 update outer(tau, col) - outer(col, tau), a row at a time
+            for j in range(n - k - 2):
+                A[:, k + 2 + j, k + 2:] += tau[:, j, None] * col - col[:, j, None] * tau
+    val[dead] = 0.0
+    return val.reshape(batch) if batch else float(val[0])
 
 
-@dataclass(frozen=True)
+def _is_skew(A: np.ndarray) -> bool:
+    """np.allclose(A_i, -A_i.T, atol=1e-10 (1 + max|A_i|)) for every matrix
+    A_i of the (M, n, n) stack, one row at a time so that no temporary is
+    stack-sized."""
+    atol = 1e-10 * (1.0 + np.maximum(A.max(axis=(1, 2)), -A.min(axis=(1, 2))))
+    close = True
+    with np.errstate(invalid="ignore"):
+        for i in range(A.shape[1]):
+            x, y = A[:, i, :], -A[:, :, i]
+            close &= np.all((np.abs(x - y) <= atol[:, None] + 1e-5 * np.abs(y)) & np.isfinite(y)
+                            | (x == y))
+    return bool(close)
+
+
+@dataclass(frozen=True, eq=False)
 class FormMatrix:
-    """A 2-form on phase space, stored by its strictly upper triangle so the
-    full matrix is skew-symmetric by construction."""
+    """A 2-form on phase space, or a stack of them, stored by the strictly
+    upper triangle so the full matrix is skew-symmetric by construction."""
 
-    upper: np.ndarray  # (2n, 2n), only entries above the diagonal meaningful
+    upper: np.ndarray  # (..., 2n, 2n), only entries above the diagonal meaningful
 
     @property
     def matrix(self) -> np.ndarray:
         U = np.triu(self.upper, k=1)
-        return U - U.T
+        return U - U.swapaxes(-1, -2)
 
     @property
     def dim(self) -> int:
-        return self.upper.shape[0] // 2
+        return self.upper.shape[-1] // 2
 
-    def pf(self) -> float:
+    def pf(self):
         return pfaffian(self.matrix)
 
 
 # ---------------------------------------------------------------------------
 # canonical and pulled-back forms
+#
+# Phase points come as base points x and tangent vectors xi of shape (..., n);
+# every leading axis is a batch axis, and a single point is the (n,) case.
 
 
-def _theta_jacobians(theta_fn: Callable, n: int, p: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
+def _theta_jacobians(theta_fn: Callable, n: int, x, xi) -> tuple[np.ndarray, np.ndarray]:
     """d theta_i / dx^k and d theta_i / dxi^k by a dual pass through theta."""
-    x_cells = dsl.dual1_seeds(p.x, nvars=2 * n, offset=0)
-    xi_cells = dsl.dual1_seeds(p.xi, nvars=2 * n, offset=n)
+    x_cells = dsl.dual1_seeds(x, nvars=2 * n, offset=0)
+    xi_cells = dsl.dual1_seeds(xi, nvars=2 * n, offset=n)
     theta = theta_fn(x_cells, xi_cells)
-    dx = np.zeros((n, n))
-    dxi = np.zeros((n, n))
+    jac = np.zeros(np.shape(x)[:-1] + (n, 2 * n))
     for i, th in enumerate(theta):
         if isinstance(th, Dual1):
-            dx[i] = th.grad[:n]
-            dxi[i] = th.grad[n:]
-    return dx, dxi
+            jac[..., i, :] = th.grad
+    return jac[..., :n], jac[..., n:]
 
 
-def _form_from_theta(theta_fn: Callable, n: int, p: PhasePoint) -> FormMatrix:
-    dx, dxi = _theta_jacobians(theta_fn, n, p)
-    upper = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        for i in range(k + 1, n):
-            upper[k, i] = dx[k, i] - dx[i, k]  # d_i theta_k - d_k theta_i
-    upper[:n, n:] = dxi  # (x_i, xi_k) block equals d theta_i / dxi^k
+def _form_from_theta(theta_fn: Callable, n: int, x, xi) -> FormMatrix:
+    dx, dxi = _theta_jacobians(theta_fn, n, x, xi)
+    upper = np.zeros(dx.shape[:-2] + (2 * n, 2 * n))
+    upper[..., :n, :n] = dx - dx.swapaxes(-1, -2)  # (k, i): d_i theta_k - d_k theta_i
+    upper[..., :n, n:] = dxi  # (x_i, xi_k) block equals d theta_i / dxi^k
     return FormMatrix(upper)
 
 
-def omega_g_at(metric: MetricField, p: PhasePoint) -> FormMatrix:
+def omega_g_at(metric: MetricField, x, xi) -> FormMatrix:
     """Canonical symplectic form of the metric, d[g_{ij} xi^j dx^i], with the
     dx-dxi block equal to g."""
     n = metric.dim
@@ -126,7 +152,7 @@ def omega_g_at(metric: MetricField, p: PhasePoint) -> FormMatrix:
     def theta(x, xi):
         return matops.matvec(metric.eval_cells(x), xi)
 
-    return _form_from_theta(theta, n, p)
+    return _form_from_theta(theta, n, x, xi)
 
 
 def _pullback_theta(pair: MetricPair):
@@ -144,17 +170,17 @@ def _pullback_theta(pair: MetricPair):
     return theta
 
 
-def pullback_phi_omega(pair: MetricPair, p: PhasePoint) -> FormMatrix:
+def pullback_phi_omega(pair: MetricPair, x, xi) -> FormMatrix:
     """Pullback of omega_gbar along the trajectorial diffeomorphism
     Phi(x, xi) = (x, xi |xi|_g / |xi|_gbar)."""
-    return _form_from_theta(_pullback_theta(pair), pair.dim, p)
+    return _form_from_theta(_pullback_theta(pair), pair.dim, x, xi)
 
 
-def a_scalar(pair: MetricPair, p: PhasePoint) -> float:
+def a_scalar(pair: MetricPair, x, xi):
     """a = |xi|_gbar / |xi|_g, the factored root of Delta."""
-    ng = pair.g.norm(p.x, p.xi)
-    nb = pair.gbar.norm(p.x, p.xi)
-    if ng == 0.0 or nb == 0.0:
+    ng = pair.g.norm(x, xi)
+    nb = pair.gbar.norm(x, xi)
+    if np.any(ng == 0.0) or np.any(nb == 0.0):
         raise ValueError("zero tangent vector has no norm ratio")
     return nb / ng
 
@@ -163,70 +189,81 @@ def a_scalar(pair: MetricPair, p: PhasePoint) -> float:
 # polynomial machinery
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyCoeffs:
-    """Real polynomial, coefficients in descending powers."""
+    """Real polynomial, or a stack of them: coefficients in descending powers
+    along the last axis."""
 
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) > 1 and self.coeffs[0] == 0.0:
+        cs = np.asarray(self.coeffs, dtype=float)
+        object.__setattr__(self, "coeffs", cs)
+        if cs.shape[-1] > 1 and np.any(cs[..., 0] == 0.0):
             raise ValueError("leading coefficient must be nonzero")
-
-    def __getitem__(self, i: int) -> float:
-        return self.coeffs[i]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-1] - 1
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         acc = 0.0
-        for c in self.coeffs:
+        for c in np.moveaxis(self.coeffs, -1, 0):
             acc = acc * t + c
         return acc
 
-    def ascending(self) -> tuple[float, ...]:
+    def ascending(self) -> np.ndarray:
         """Coefficients (b_0, b_1, ..., b_deg) by ascending power."""
-        return tuple(reversed(self.coeffs))
+        return self.coeffs[..., ::-1]
 
 
-def horner_divide(coeffs, root: float) -> tuple[PolyCoeffs, float]:
-    """Synthetic division by (t - root): returns quotient and remainder."""
-    cs = list(coeffs.coeffs if isinstance(coeffs, PolyCoeffs) else coeffs)
-    if len(cs) < 2:
+def horner_divide(coeffs, root) -> tuple[PolyCoeffs, float]:
+    """Synthetic division by (t - root): returns quotient and remainder.
+    Stacked polynomials divide by one root each."""
+    cs = np.asarray(coeffs.coeffs if isinstance(coeffs, PolyCoeffs) else coeffs, dtype=float)
+    if cs.shape[-1] < 2:
         raise ValueError("cannot divide a constant polynomial")
-    q = [cs[0]]
-    for c in cs[1:-1]:
-        q.append(c + root * q[-1])
-    rem = cs[-1] + root * q[-1]
-    return PolyCoeffs(tuple(float(v) for v in q)), float(rem)
+    q = np.empty(cs.shape[:-1] + (cs.shape[-1] - 1,))
+    q[..., 0] = cs[..., 0]
+    for j in range(1, q.shape[-1]):
+        q[..., j] = cs[..., j] + root * q[..., j - 1]
+    rem = cs[..., -1] + root * q[..., -1]
+    return PolyCoeffs(q), rem[()]
 
 
-def delta_poly(pair: MetricPair, p: PhasePoint) -> PolyCoeffs:
+def delta_poly(pair: MetricPair, x, xi) -> PolyCoeffs:
     """Coefficients of Delta(t) = Pf(Phi* omega_gbar - t omega_g)/Pf(omega_g),
     normalised to leading coefficient +1.
 
     The quotient is a degree-n polynomial in t; it is recovered exactly (up to
     rounding) from n+1 samples at Chebyshev nodes scaled to the root's
-    magnitude, via a Vandermonde solve.
+    magnitude, via a Vandermonde solve.  All Pfaffians of a batch are taken
+    as one stack, and the Vandermonde systems are solved as one stack.
     """
     n = pair.dim
-    omega = omega_g_at(pair.g, p).matrix
-    pulled = pullback_phi_omega(pair, p).matrix
-    pf_omega = pfaffian(omega.copy())
-    if pf_omega == 0.0:
+    omega = omega_g_at(pair.g, x, xi).matrix
+    pulled = pullback_phi_omega(pair, x, xi).matrix
+    radius = 1.0 + np.abs(a_scalar(pair, x, xi))
+    nodes = np.multiply.outer(radius, np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2.0 * (n + 1))))
+    # forms[..., 0] is omega_g, forms[..., 1 + j] the pencil at node j
+    forms = np.empty(omega.shape[:-2] + (n + 2,) + omega.shape[-2:])
+    forms[..., 0, :, :] = omega
+    pencil = forms[..., 1:, :, :]
+    np.multiply(nodes[..., None, None], omega[..., None, :, :], out=pencil)
+    np.subtract(pulled[..., None, :, :], pencil, out=pencil)
+    pfs = pfaffian(forms)
+    pf_omega = pfs[..., :1]
+    if np.any(pf_omega == 0.0):
         raise ValueError("canonical form is degenerate at this point")
-    radius = 1.0 + abs(a_scalar(pair, p))
-    nodes = radius * np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2.0 * (n + 1)))
-    samples = np.array([pfaffian(pulled - t * omega) / pf_omega for t in nodes])
-    V = np.vander(nodes, n + 1)  # descending powers
-    coeffs = np.linalg.solve(V, samples)
-    coeffs = coeffs / coeffs[0]
-    return PolyCoeffs(tuple(float(c) for c in coeffs))
+    samples = pfs[..., 1:] / pf_omega
+    # descending powers, built the way np.vander builds them
+    V = np.empty(nodes.shape + (n + 1,))
+    powers = V[..., ::-1]
+    powers[..., 0] = 1.0
+    powers[..., 1:] = nodes[..., None]
+    np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
+    coeffs = np.linalg.solve(V, samples[..., None])[..., 0]
+    return PolyCoeffs(coeffs / coeffs[..., :1])
 
 
 @dataclass(frozen=True)
@@ -266,10 +303,11 @@ def rank_one_delta(d: RankOneData, t: float) -> float:
     return float(total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoryIntegrals:
     """Quotient coefficients delta(t) = Delta(t)/(t - a) plus the division
-    remainder; the remainder vanishes exactly when a is a root of Delta."""
+    remainder; the remainder vanishes exactly when a is a root of Delta.
+    Batched points give stacked fields."""
 
     coeffs: PolyCoeffs
     remainder: float
@@ -277,14 +315,14 @@ class FactoryIntegrals:
     delta: PolyCoeffs
 
 
-def factory_integrals(pair: MetricPair, p: PhasePoint) -> FactoryIntegrals:
-    delta = delta_poly(pair, p)
-    a = a_scalar(pair, p)
+def factory_integrals(pair: MetricPair, x, xi) -> FactoryIntegrals:
+    delta = delta_poly(pair, x, xi)
+    a = a_scalar(pair, x, xi)
     q, rem = horner_divide(delta, a)
     return FactoryIntegrals(q, rem, a, delta)
 
 
-def coeffs_from_closed_form(pair: MetricPair, p: PhasePoint) -> np.ndarray:
+def coeffs_from_closed_form(pair: MetricPair, x, xi) -> np.ndarray:
     """Predict the quotient coefficients from the I_k family.
 
     The per-coefficient conversion (derived from the rank-one determinant by
@@ -293,17 +331,25 @@ def coeffs_from_closed_form(pair: MetricPair, p: PhasePoint) -> np.ndarray:
         b_{n-1-k} = (-1)^n (det gbar / det g)^{(k+2)/(n+1)} I_k
                     / (a^{k+2} g(xi, xi)),   k = 0..n-1,
 
-    returned in descending powers to match factory_integrals().coeffs.
+    returned in descending powers to match factory_integrals().coeffs.  The
+    conversion runs on Python floats point by point, so a power that leaves
+    the float range raises OverflowError.
     """
     n = pair.dim
-    Ik = integrals_at(pair, p.x[None, :], p.xi[None, :])[0]
-    a = a_scalar(pair, p)
-    det_g = float(np.linalg.det(pair.g.values_at(p.x)))
-    det_gb = float(np.linalg.det(pair.gbar.values_at(p.x)))
-    gxx = pair.g.norm(p.x, p.xi) ** 2
+    x = np.asarray(x, dtype=float)
+    xs = x.reshape(-1, n)
+    xis = np.asarray(xi, dtype=float).reshape(-1, n)
+    Ik = integrals_at(pair, xs, xis)
+    a = a_scalar(pair, xs, xis)
+    det_g = np.linalg.det(_batch_values(pair.g, xs))
+    det_gb = np.linalg.det(_batch_values(pair.gbar, xs))
+    ng = pair.g.norm(xs, xis)
     sign = (-1.0) ** n
-    b_desc = np.empty(n)
-    for k in range(n):
-        ratio = (det_gb / det_g) ** ((k + 2.0) / (n + 1.0))
-        b_desc[k] = sign * ratio * Ik[k] / (a ** (k + 2) * gxx)
-    return b_desc
+    b_desc = np.empty((len(xs), n))
+    for i in range(len(xs)):
+        ai, gxx = float(a[i]), float(ng[i]) ** 2
+        det_ratio = float(det_gb[i]) / float(det_g[i])
+        for k in range(n):
+            ratio = det_ratio ** ((k + 2.0) / (n + 1.0))
+            b_desc[i, k] = sign * ratio * Ik[i, k] / (ai ** (k + 2) * gxx)
+    return b_desc.reshape(x.shape)

@@ -229,10 +229,16 @@ class MetricField:
             except np.linalg.LinAlgError:
                 raise matops.NotPositiveDefiniteError(_failing_minor(vals), f"at x = {x.tolist()}")
 
-    def norm(self, x, xi) -> float:
-        g = self.values_at(x)
-        xi = np.asarray(xi, dtype=float)
-        return float(np.sqrt(xi @ g @ xi))
+    def norm(self, x, xi):
+        """|xi|_g at x.  x and xi may carry leading batch axes; a single
+        point gives a float.  The quadratic form is a stacked matmul, which
+        matches `xi @ g @ xi` at each point bit for bit."""
+        x = np.asarray(x, dtype=float)
+        n = self.dim
+        g = _batch_values(self, x.reshape(-1, n))
+        v = np.asarray(xi, dtype=float).reshape(-1, 1, n)
+        norms = np.sqrt((v @ g @ v.swapaxes(1, 2))[:, 0, 0])
+        return norms.reshape(x.shape[:-1]) if x.ndim > 1 else float(norms[0])
 
 
 def _failing_minor(vals: np.ndarray) -> int:
@@ -501,6 +507,7 @@ def geodesic_coincidence(
     # integration window until the g-length target is reached or the chart ends
     t_end = float(length)
     tb = integrate_geodesic(gbar, PhasePoint(x0, vb), t_end, opts)
+    covered = None  # g-arc-length of the current tb, once measured
     for _ in range(8):
         if tb.left_domain:
             break
@@ -509,7 +516,10 @@ def geodesic_coincidence(
             break
         t_end *= max(1.5, 1.2 * float(length) / max(covered, 1e-12))
         tb = integrate_geodesic(gbar, PhasePoint(x0, vb), t_end, opts)
-    window = min(float(length), arc_length(tg, g), arc_length(tb, g))
+        covered = None
+    if covered is None:
+        covered = arc_length(tb, g)
+    window = min(float(length), arc_length(tg, g), covered)
     c1 = arclength_reparam(tg, g, count, length=window)
     c2 = arclength_reparam(tb, g, count, length=window)
     return symmetric_curve_distance(c1, c2)

@@ -88,20 +88,18 @@ def test_04_factory_divides_and_conserves(equiv_pairs, phase_sets, geodesic_sets
     worst_rem = 0.0
     for name in EQUIV_PAIR_NAMES:
         pair = equiv_pairs[name]
-        for p in phase_sets[name]:
-            fi = factory_integrals(pair, p)
-            scale = float(np.linalg.norm(fi.coeffs.coeffs))
-            worst_rem = max(worst_rem, abs(fi.remainder) / scale)
+        pts = phase_sets[name]
+        fi = factory_integrals(pair, np.array([p.x for p in pts]), np.array([p.xi for p in pts]))
+        for coeffs, remainder in zip(fi.coeffs.coeffs, fi.remainder):
+            scale = float(np.linalg.norm(coeffs))
+            worst_rem = max(worst_rem, abs(remainder) / scale)
 
     worst_drift = 0.0
     for name in EQUIV_PAIR_NAMES:
         pair = equiv_pairs[name]
         for traj in geodesic_sets[name]:
             step = max(1, len(traj) // 26)
-            cs = np.array([
-                factory_integrals(pair, traj.point(k)).coeffs.coeffs
-                for k in range(0, len(traj), step)
-            ])
+            cs = factory_integrals(pair, traj.xs[::step], traj.xis[::step]).coeffs.coeffs
             drift = np.max(np.abs(cs - cs[0]), axis=0) / np.maximum(np.abs(cs[0]), 1e-12)
             worst_drift = max(worst_drift, float(np.max(drift)))
 

@@ -359,3 +359,22 @@ def test_cmd_factory_report_shape():
     assert {c["name"] for c in report["checks"]} == {
         "factory-remainder", "factory-crosscheck", "factory-conservation",
     }
+
+
+@pytest.mark.parametrize("name", ["sphere", "euclidean:2", "ellipsoid:1,2,3", "lc-demo:m3n4"])
+def test_sample_phase_points_matches_per_point_reference(name):
+    """The batched norm leaves the sampler's RNG stream and every direction
+    bitwise as a point-by-point loop over values_at makes them."""
+    from geodequiv import resolve_pair
+
+    pair = resolve_pair(name)
+    rng = np.random.default_rng(17)
+    want = []
+    for x in pair.g.chart.box_points(40, rng):
+        xi = rng.standard_normal(pair.dim)
+        while float(np.linalg.norm(xi)) < 1e-12:
+            xi = rng.standard_normal(pair.dim)
+        want.append((x, xi / float(np.sqrt(xi @ pair.g.values_at(x) @ xi))))
+    got = sample_phase_points(pair, 40, np.random.default_rng(17))
+    assert [(p.x.tobytes(), p.xi.tobytes()) for p in got] == [
+        (x.tobytes(), xi.tobytes()) for x, xi in want]

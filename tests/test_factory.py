@@ -97,13 +97,52 @@ def test_pfaffian_of_singular_matrix_is_zero():
     assert pfaffian(A) == 0.0
 
 
+def test_pfaffian_of_stack_equals_each_matrix():
+    """A (2, 3, 6, 6) stack: every member needs a pivot swap at the first
+    step, and one is singular only after it; each value is bitwise the 2-D
+    call's, and only the singular member gives 0."""
+    rng = np.random.default_rng(53)
+    stack = np.array([random_skew(rng, 6) for _ in range(6)])
+    stack[:, 1, 0] = stack[:, 0, 1] = 0.0  # no first pivot in row 1
+    singular = np.zeros((6, 6))
+    keep = [0, 2, 4, 5]  # rank 4: rows 1 and 3 vanish
+    singular[np.ix_(keep, keep)] = random_skew(rng, 4)
+    stack[4] = singular
+    stack = stack.reshape(2, 3, 6, 6)
+    got = pfaffian(stack)
+    assert got.shape == (2, 3)
+    want = np.array([[pfaffian(m) for m in row] for row in stack])
+    assert got.tobytes() == want.tobytes()
+    assert [v == 0.0 for v in got.ravel()] == [False] * 4 + [True, False]
+
+
+def test_pfaffian_stack_with_one_nonskew_member_raises():
+    rng = np.random.default_rng(59)
+    stack = np.array([random_skew(rng, 4) for _ in range(3)])
+    bad = stack.copy()
+    bad[1, 0, 0] = 1e-3
+    with pytest.raises(ValueError):
+        pfaffian(bad)
+    # the tolerance scales with each matrix's own entries, not the stack's
+    bad = stack.copy()
+    bad[0] *= 1e6
+    bad[2, 0, 0] = 1e-5
+    with pytest.raises(ValueError):
+        pfaffian(bad)
+    # as in np.allclose, an infinite entry matches its negated mirror
+    infinite = stack.copy()
+    infinite[1, 0, 1], infinite[1, 1, 0] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        pfaffian(infinite)
+
+
 # ---------------------------------------------------------------------------
 # form matrices
 
 
 def test_canonical_form_flat_metric():
     pair = constant_pair([1, 1], [1, 1])
-    form = omega_g_at(pair.g, PhasePoint([0.0, 0.0], [0.4, 0.8])).matrix
+    form = omega_g_at(pair.g, [0.0, 0.0], [0.4, 0.8]).matrix
     n = 2
     want = np.zeros((4, 4))
     want[:n, n:] = np.eye(n)
@@ -113,7 +152,7 @@ def test_canonical_form_flat_metric():
 
 def test_canonical_form_constant_diagonal_metric():
     pair = constant_pair([2, 1], [2, 1])
-    form = omega_g_at(pair.g, PhasePoint([0.3, -0.1], [1.0, 0.5])).matrix
+    form = omega_g_at(pair.g, [0.3, -0.1], [1.0, 0.5]).matrix
     assert np.allclose(form[:2, 2:], np.diag([2.0, 1.0]), atol=1e-15)
     assert np.array_equal(form[:2, :2], np.zeros((2, 2)))
 
@@ -124,7 +163,7 @@ def test_canonical_form_matches_finite_difference_exterior_derivative():
         chart, [["1 + 0.4*x2^2", "0.2*x1*x2"], ["0.2*x1*x2", "2 + 0.3*sin(x1)"]]
     )
     p = PhasePoint([0.3, -0.4], [0.8, 0.6])
-    form = omega_g_at(g, p).matrix
+    form = omega_g_at(g, p.x, p.xi).matrix
     h = 1e-6
 
     def theta(x):
@@ -147,7 +186,7 @@ def test_pullback_equals_canonical_for_equal_metrics():
     pair = resolve_pair("sphere")
     p = PhasePoint([1.2, 0.5], [0.3, 0.7])
     assert np.array_equal(
-        pullback_phi_omega(pair, p).matrix, omega_g_at(pair.g, p).matrix
+        pullback_phi_omega(pair, p.x, p.xi).matrix, omega_g_at(pair.g, p.x, p.xi).matrix
     )
 
 
@@ -161,7 +200,7 @@ def test_pullback_mixed_block_matches_principal_axes_formula():
         xi = rng.normal(size=3)
         pair = constant_pair([1, 1, 1], list(rho))
         p = PhasePoint(np.zeros(3), xi)
-        mixed = pullback_phi_omega(pair, p).matrix[:3, 3:]
+        mixed = pullback_phi_omega(pair, p.x, p.xi).matrix[:3, 3:]
         d = rank_one_data(rho, xi)
         want = np.diag(-np.array(d.mu)) + np.outer(d.A, d.B)
         assert np.allclose(mixed, want, rtol=1e-12, atol=1e-12)
@@ -180,9 +219,9 @@ def test_form_matrix_is_skew_by_construction():
 def test_a_scalar_trivial_values():
     pair = constant_pair([1, 1], [1, 1])
     p = PhasePoint([0.0, 0.0], [0.6, -0.2])
-    assert a_scalar(pair, p) == 1.0
+    assert a_scalar(pair, p.x, p.xi) == 1.0
     pair4 = constant_pair([1, 1], [4, 4])
-    assert a_scalar(pair4, p) == pytest.approx(2.0, rel=1e-15)
+    assert a_scalar(pair4, p.x, p.xi) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_a_scalar_matches_norm_ratio_on_curved_pair():
@@ -190,13 +229,13 @@ def test_a_scalar_matches_norm_ratio_on_curved_pair():
     rng = np.random.default_rng(3)
     for p in sample_phase_points(pair, 5, rng):
         want = pair.gbar.norm(p.x, p.xi) / pair.g.norm(p.x, p.xi)
-        assert a_scalar(pair, p) == pytest.approx(want, rel=1e-14)
+        assert a_scalar(pair, p.x, p.xi) == pytest.approx(want, rel=1e-14)
 
 
 def test_a_scalar_rejects_zero_vector():
     pair = constant_pair([1, 1], [1, 1])
     with pytest.raises(ValueError):
-        a_scalar(pair, PhasePoint([0.0, 0.0], [0.0, 0.0]))
+        a_scalar(pair, [0.0, 0.0], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +244,13 @@ def test_a_scalar_rejects_zero_vector():
 
 def test_horner_divide_exact_root():
     q, rem = horner_divide(PolyCoeffs((1.0, 3.0, 2.0)), -1.0)
-    assert q.coeffs == (1.0, 2.0)
+    assert tuple(q.coeffs) == (1.0, 2.0)
     assert rem == 0.0
 
 
 def test_horner_divide_with_remainder():
     q, rem = horner_divide(PolyCoeffs((1.0, 0.0, 1.0)), 0.0)
-    assert q.coeffs == (1.0, 0.0)
+    assert tuple(q.coeffs) == (1.0, 0.0)
     assert rem == 1.0
 
 
@@ -231,7 +270,7 @@ def test_horner_reconstructs_polynomial(coeffs, root, t):
 
 def test_poly_coeffs_ascending_view():
     p = PolyCoeffs((2.0, -1.0, 3.0))
-    assert p.ascending() == (3.0, -1.0, 2.0)
+    assert tuple(p.ascending()) == (3.0, -1.0, 2.0)
     assert p.degree == 2
     assert p(1.0) == 4.0
 
@@ -248,7 +287,7 @@ def test_delta_poly_identity_pair_is_shifted_binomial():
         pair = constant_pair(diag, diag)
         n = len(diag)
         p = PhasePoint(np.zeros(n), np.linspace(0.7, 1.3, n))
-        got = np.array(delta_poly(pair, p).coeffs)
+        got = np.array(delta_poly(pair, p.x, p.xi).coeffs)
         from math import comb
 
         want = np.array([(-1.0) ** k * comb(n, k) for k in range(n + 1)], dtype=float)
@@ -259,9 +298,9 @@ def test_delta_poly_squares_to_determinant_ratio():
     pair = resolve_pair("ellipsoid:1,2,3")
     rng = np.random.default_rng(71)
     p = sample_phase_points(pair, 1, rng)[0]
-    delta = delta_poly(pair, p)
-    omega = omega_g_at(pair.g, p).matrix
-    pulled = pullback_phi_omega(pair, p).matrix
+    delta = delta_poly(pair, p.x, p.xi)
+    omega = omega_g_at(pair.g, p.x, p.xi).matrix
+    pulled = pullback_phi_omega(pair, p.x, p.xi).matrix
     det_omega = np.linalg.det(omega)
     for t in rng.uniform(-2.0, 2.0, size=10):
         lhs = delta(t) ** 2
@@ -276,7 +315,7 @@ def test_delta_poly_matches_rank_one_route_at_principal_axes():
         xi = rng.normal(size=n)
         pair = constant_pair([1] * n, list(rho))
         p = PhasePoint(np.zeros(n), xi)
-        delta = delta_poly(pair, p)
+        delta = delta_poly(pair, p.x, p.xi)
         for t in rng.uniform(-2.0, 2.0, size=6):
             assert delta(t) == pytest.approx(rank_one_delta(rank_one_data(rho, xi), t),
                                              rel=1e-9, abs=1e-9)
@@ -325,7 +364,7 @@ def test_remainder_small_on_equivalent_pair():
     pair = resolve_pair("lc-demo:m2n2")
     rng = np.random.default_rng(83)
     for p in sample_phase_points(pair, 10, rng):
-        fi = factory_integrals(pair, p)
+        fi = factory_integrals(pair, p.x, p.xi)
         scale = np.linalg.norm(fi.delta.coeffs)
         assert abs(fi.remainder) <= 1e-8 * scale
         assert fi.coeffs.degree == pair.dim - 1
@@ -337,9 +376,31 @@ def test_quotient_matches_closed_form_dictionary():
         pair = resolve_pair(name)
         rng = np.random.default_rng(89)
         for p in sample_phase_points(pair, 5, rng):
-            fi = factory_integrals(pair, p)
-            closed = coeffs_from_closed_form(pair, p)
+            fi = factory_integrals(pair, p.x, p.xi)
+            closed = coeffs_from_closed_form(pair, p.x, p.xi)
             assert np.allclose(np.array(fi.coeffs.coeffs), closed, rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "lc-demo:m3n4", "falsify:perturbed-lc"])
+def test_batched_factory_equals_single_points(name):
+    pair = resolve_pair(name)
+    pts = sample_phase_points(pair, 12, np.random.default_rng(101))
+    xs = np.array([p.x for p in pts])
+    xis = np.array([p.xi for p in pts])
+    fi = factory_integrals(pair, xs, xis)
+    closed = coeffs_from_closed_form(pair, xs, xis)
+    singles = [factory_integrals(pair, p.x, p.xi) for p in pts]
+    for got, field in ((fi.coeffs.coeffs, lambda f: f.coeffs.coeffs),
+                       (fi.delta.coeffs, lambda f: f.delta.coeffs),
+                       (fi.remainder, lambda f: f.remainder), (fi.a, lambda f: f.a)):
+        assert got.tobytes() == np.array([field(f) for f in singles]).tobytes()
+    want = np.array([coeffs_from_closed_form(pair, p.x, p.xi) for p in pts])
+    assert closed.tobytes() == want.tobytes()
+    # further leading axes are batch axes too
+    grid = factory_integrals(pair, xs.reshape(3, 4, -1), xis.reshape(3, 4, -1))
+    assert grid.coeffs.coeffs.tobytes() == fi.coeffs.coeffs.tobytes()
+    assert coeffs_from_closed_form(pair, xs.reshape(3, 4, -1), xis.reshape(3, 4, -1)).shape == (
+        3, 4, pair.dim)
 
 
 def test_constant_coefficient_closed_form_at_principal_axes():
@@ -351,7 +412,7 @@ def test_constant_coefficient_closed_form_at_principal_axes():
         xi = rng.normal(size=n)
         pair = constant_pair([1] * n, list(rho))
         p = PhasePoint(np.zeros(n), xi)
-        fi = factory_integrals(pair, p)
-        ratio = 1.0 / a_scalar(pair, p)
+        fi = factory_integrals(pair, p.x, p.xi)
+        ratio = 1.0 / a_scalar(pair, p.x, p.xi)
         want = (-1.0) ** (n + 1) * ratio ** (n + 1) * np.prod(rho)
         assert fi.coeffs.ascending()[0] == pytest.approx(want, rel=1e-9)

@@ -129,6 +129,9 @@ def test_norm_is_sqrt_of_quadratic_form():
     chart = euclidean_chart(2)
     g = metric_from(chart, [["2", "0"], ["0", "1"]])
     assert g.norm([0.0, 0.0], [1.0, 1.0]) == pytest.approx(np.sqrt(3.0))
+    xis = np.arange(12.0).reshape(2, 3, 2)
+    assert g.norm(np.zeros((2, 3, 2)), xis).tolist() == [
+        [g.norm([0.0, 0.0], xi) for xi in row] for row in xis]
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +295,26 @@ def test_arc_length_of_unit_speed_geodesic():
     g = sphere_metric()
     traj = integrate_geodesic(g, PhasePoint([np.pi / 2, 0.0], [0.0, 1.0]), 3.0)
     assert arc_length(traj, g) == pytest.approx(3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["falsify:random-conformal", "ellipsoid:1,2,3"])
+def test_coincidence_measures_each_trajectory_once(name, monkeypatch):
+    """The retry loop's last arc length serves the comparison window: the
+    conformal control re-integrates gbar, the ellipsoid leaves its chart."""
+    from geodequiv import geometry, resolve_pair
+
+    measured = []
+
+    def counting_arc_length(traj, metric, _orig=geometry.arc_length):
+        measured.append(traj)
+        return _orig(traj, metric)
+
+    pair = resolve_pair(name)
+    p0 = PhasePoint(pair.g.chart.box_points(1, np.random.default_rng(5))[0], [0.6, 0.8])
+    want = geometry.geodesic_coincidence(pair.g, pair.gbar, p0)
+    monkeypatch.setattr(geometry, "arc_length", counting_arc_length)
+    assert geometry.geodesic_coincidence(pair.g, pair.gbar, p0) == want
+    assert len({id(t) for t in measured}) == len(measured) >= 2
 
 
 def test_reparam_length_clip():
