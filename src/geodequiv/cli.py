@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,7 +47,8 @@ from .integrals import (
     MetricPair,
     eigen_profile,
     independence_rank,
-    integral_family,
+    integrals_at,
+    integrals_jacobian,
     involution_matrix,
 )
 from .levicivita import build_pair, lcspec_from_json
@@ -220,12 +221,12 @@ def sample_phase_points(
     """Draw base points uniformly from the chart's sample box (respecting the
     domain predicate) and directions uniformly from the unit g-sphere."""
     xs = pair.g.chart.box_points(count, rng)
-    xis = np.empty_like(xs)
-    for k in range(count):
-        xi = rng.standard_normal(pair.dim)
-        while float(np.linalg.norm(xi)) < 1e-12:
-            xi = rng.standard_normal(pair.dim)
-        xis[k] = xi
+    # a rejected (near-zero) direction is replaced by the next draws in the
+    # stream, so blocks of the remaining count give the per-point stream
+    xis = np.empty((0, pair.dim))
+    while len(xis) < count:
+        block = rng.standard_normal((count - len(xis), pair.dim))
+        xis = np.concatenate([xis, block[np.linalg.norm(block, axis=1) >= 1e-12]])
     xis /= pair.g.norm(xs, xis)[:, None]
     return [PhasePoint(x, xi) for x, xi in zip(xs, xis)]
 
@@ -243,10 +244,6 @@ def _pmap(fn, jobs: list) -> list:
         return [fn(j) for j in jobs]
     with ThreadPoolExecutor(max_workers=_max_workers(len(jobs))) as pool:
         return list(pool.map(fn, jobs))
-
-
-def _finite(v) -> float:
-    return float(v)
 
 
 def _report_json(report: dict) -> str:
@@ -273,7 +270,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     brackets at seeded phase points, and the independence rank."""
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
-    family = integral_family(pair)
     starts = sample_phase_points(pair, cfg.trajectories, rng)
     # the integrator's own energy self-check runs looser than the conservation
     # tolerance: near chart walls RK45 at 1e-10 legitimately accumulates ~1e-8
@@ -283,13 +279,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     def one_trajectory(job):
         pid, p0 = job
         traj = integrate_geodesic(pair.g, p0, cfg.t_end, opts)
-        drifts = [conservation_drift(F, traj) for F in family]
+        drifts = conservation_drift(integrals_at(pair, traj.xs, traj.xis))
         return {
             "point_id": pid,
-            "drift": [_finite(d) for d in drifts],
-            "energy_drift": _finite(traj.energy_drift),
+            "drift": [float(d) for d in drifts],
+            "energy_drift": float(traj.energy_drift),
             "left_domain": bool(traj.left_domain),
-            "t_reached": _finite(traj.ts[-1]),
+            "t_reached": float(traj.ts[-1]),
         }
 
     rows = _pmap(one_trajectory, list(enumerate(starts)))
@@ -297,14 +293,17 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     drift_max = max(max(r["drift"]) for r in rows)
 
     phase = sample_phase_points(pair, cfg.points, rng)
-    brackets = involution_matrix(pair, phase)
+    xs = np.array([p.x for p in phase])
+    xis = np.array([p.xi for p in phase])
+    jac = integrals_jacobian(pair, xs, xis)
+    brackets = involution_matrix(jac, pair.g, xs, xis)
     offdiag = brackets - np.diag(np.diag(brackets))
     bracket_max = float(np.max(np.abs(offdiag)))
     diag_max = float(np.max(np.abs(np.diag(brackets))))
 
     profiles = [eigen_profile(pair, p.x) for p in phase[: min(5, len(phase))]]
     m_required = max(pr.m for pr in profiles)
-    rank = independence_rank(pair, phase, rank_tol=cfg.rank_tol)
+    rank = independence_rank(jac, rank_tol=cfg.rank_tol)
 
     checks = [
         {"name": "conservation", "value": drift_max, "tol": cfg.drift_tol,
@@ -373,12 +372,12 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
         scale = float(np.linalg.norm(coeffs))
         rows.append({
             "point_id": pid,
-            "a": _finite(fi.a[pid]),
+            "a": float(fi.a[pid]),
             "coeffs": [float(c) for c in coeffs],
             "closed_form": [float(c) for c in closed[pid]],
-            "remainder": _finite(fi.remainder[pid]),
-            "remainder_rel": _finite(abs(fi.remainder[pid]) / scale),
-            "crosscheck": _finite(np.max(np.abs(coeffs - closed[pid]))),
+            "remainder": float(fi.remainder[pid]),
+            "remainder_rel": float(abs(fi.remainder[pid]) / scale),
+            "crosscheck": float(np.max(np.abs(coeffs - closed[pid]))),
         })
     rem_max = max(r["remainder_rel"] for r in rows)
     cross_max = max(r["crosscheck"] for r in rows)
@@ -394,7 +393,7 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
     splits = np.cumsum([len(k) for k in picks])[:-1]
     traj_rows = []
     for pid, cs in enumerate(np.split(fc.coeffs.coeffs, splits)):
-        drift = np.max(np.abs(cs - cs[0]), axis=0) / np.maximum(np.abs(cs[0]), 1e-12)
+        drift = conservation_drift(cs)
         traj_rows.append({"point_id": pid, "coeff_drift": [float(d) for d in drift]})
     drift_max = max(max(r["coeff_drift"]) for r in traj_rows)
 
@@ -458,8 +457,8 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
         dist = geodesic_coincidence(pair.g, pair.gbar, p0, length=cfg.t_end)
         row = {
             "point_id": pid,
-            "curve_distance": _finite(dist),
-            "g_arc_length": _finite(arc_length(tg, pair.g)),
+            "curve_distance": float(dist),
+            "g_arc_length": float(arc_length(tg, pair.g)),
             "left_domain_g": bool(tg.left_domain),
             "left_domain_gbar": bool(tb.left_domain),
         }

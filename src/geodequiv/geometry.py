@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -73,15 +73,19 @@ class Chart:
     def dim(self) -> int:
         return len(self.names)
 
-    def domain_margin(self, x) -> float:
+    def domain_margin(self, x):
         """Signed distance proxy: the smallest factor value (or the domain
-        expression itself), positive inside the chart."""
-        env = eval_env(self.names, list(np.asarray(x, dtype=float)))
-        if self.domain_factors is not None:
-            return min(float(np.min(np.asarray(f.evaluate(env)))) for f in self.domain_factors)
+        expression itself), positive inside the chart.  x may carry one
+        leading batch axis, giving one margin per point; a single point gives
+        a float."""
+        x = np.asarray(x, dtype=float)
         if self.domain is None:
-            return np.inf
-        return float(np.min(np.asarray(self.domain.evaluate(env))))
+            return np.inf if x.ndim == 1 else np.full(len(x), np.inf)
+        env = eval_env(self.names, list(x.T))
+        values = [f.evaluate(env) for f in self.domain_factors or (self.domain,)]
+        if x.ndim == 1:
+            return min(float(v) for v in values)
+        return np.min([np.broadcast_to(v, len(x)) for v in values], axis=0)
 
     def contains(self, x, slack: float = 0.0) -> bool:
         if self.domain is None:
@@ -98,16 +102,18 @@ class Chart:
             raise ValueError("chart has no sample_box configured")
         lo = np.array([b[0] for b in self.sample_box])
         hi = np.array([b[1] for b in self.sample_box])
-        out = []
+        # blocks of the remaining count never draw past the count-th accepted
+        # point, so the stream is that of point-by-point sampling
+        out = np.empty((0, self.dim))
         tries = 0
         while len(out) < count:
-            x = lo + (hi - lo) * rng.random(self.dim)
-            tries += 1
-            if tries > 1000 * count:
+            k = min(count - len(out), 1000 * count - tries)
+            if k == 0:
                 raise ChartDomainError("rejection sampling failed to hit the chart domain")
-            if self.contains(x):
-                out.append(x)
-        return np.array(out)
+            block = lo + (hi - lo) * rng.random((k, self.dim))
+            tries += k
+            out = np.concatenate([out, block[self.domain_margin(block) > 0.0]])
+        return out
 
 
 @dataclass
@@ -307,10 +313,7 @@ class Trajectory:
         chart = self.metric.chart
         if chart.domain is not None:
             # Chart.contains with slack 1e-9, evaluated on all samples at once
-            env = eval_env(chart.names, list(self.xs.T))
-            margin = np.min([np.broadcast_to(f.evaluate(env), len(self.xs))
-                             for f in chart.domain_factors or (chart.domain,)], axis=0)
-            outside = np.flatnonzero(~(margin > -1e-9))
+            outside = np.flatnonzero(~(chart.domain_margin(self.xs) > -1e-9))
             if outside.size:
                 x = self.xs[outside[0]]
                 raise ChartDomainError(f"trajectory sample {x.tolist()} left the chart domain")

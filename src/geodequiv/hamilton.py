@@ -12,13 +12,13 @@ of H reads {H, F} = 0; that statement is insensitive to the overall sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import dsl
 from .dsl import Dual1
-from .geometry import MetricField, PhasePoint, Trajectory
+from .geometry import MetricField, PhasePoint
 
 
 @dataclass
@@ -72,10 +72,6 @@ class PhaseFunction:
 
     def at(self, p: PhasePoint) -> float:
         return self.value(p.x, p.xi)
-
-    def grad(self, x, xi) -> np.ndarray:
-        """Gradient in (x, xi), length 2n, by one forward dual pass."""
-        return self.grad_batch(np.asarray(x, dtype=float)[None, :], np.asarray(xi, dtype=float)[None, :])[0]
 
     def grad_batch(self, xs, xis) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -157,84 +153,43 @@ def hamiltonian(metric: MetricField) -> PhaseFunction:
 # brackets
 
 
-def canonical_gradients(F: PhaseFunction, metric: MetricField, xs, xis):
-    """Batched (dF/dx|_p, dF/dp) at phase points given in (x, xi) coordinates.
+def canonical_gradients(jac, metric: MetricField, xs, xis):
+    """Batched (dF/dx|_p, dF/dp) of a family of phase functions, each of shape
+    (N, m, n), from its (N, m, 2n) differentials in (x, xi) coordinates.
 
     With p = g(x) xi:  dF/dp = g^{-1} dF/dxi  and
     dF/dx^i|_p = dF/dx^i|_xi - xi^T (d_i g) (g^{-1} dF/dxi).
     """
     xs = np.asarray(xs, dtype=float)
     xis = np.asarray(xis, dtype=float)
-    n = F.dim
-    grads = F.grad_batch(xs, xis)  # (N, 2n)
-    Fx, Fxi = grads[:, :n], grads[:, n:]
+    n = xs.shape[-1]
+    Fx, Fxi = jac[..., :n], jac[..., n:]
     gvals, ggrads = metric.values_and_grads(xs)  # (N,n,n), (N,n,n,k)
-    Fp = np.linalg.solve(gvals, Fxi[..., None])[..., 0]
-    corr = np.einsum("Nj,Njlk,Nl->Nk", xis, ggrads, Fp)
+    Fp = np.linalg.solve(gvals[:, None], Fxi[..., None])[..., 0]
+    corr = np.einsum("Nj,Njlk,Nml->Nmk", xis, ggrads, Fp)
     return Fx - corr, Fp
 
 
-def poisson_bracket(F: PhaseFunction, G: PhaseFunction, metric: MetricField, p: PhasePoint) -> float:
-    """Canonical bracket {F, G} at one phase point."""
-    Fx, Fp = canonical_gradients(F, metric, p.x[None, :], p.xi[None, :])
-    Gx, Gp = canonical_gradients(G, metric, p.x[None, :], p.xi[None, :])
-    return float(np.sum(Fx * Gp - Fp * Gx))
-
-
-def poisson_bracket_batch(F, G, metric: MetricField, xs, xis) -> np.ndarray:
-    Fx, Fp = canonical_gradients(F, metric, xs, xis)
-    Gx, Gp = canonical_gradients(G, metric, xs, xis)
+def bracket(Fx, Fp, Gx, Gp) -> np.ndarray:
+    """{F, G} from canonical gradients with the point axis first."""
     return np.einsum("Ni,Ni->N", Fx, Gp) - np.einsum("Ni,Ni->N", Fp, Gx)
 
 
-def conservation_drift(F: PhaseFunction, traj: Trajectory, floor: float = 1e-12) -> float:
-    """max |F(t) - F(0)| / max(|F(0)|, floor) along a trajectory."""
-    vals = F.value_batch(traj.xs, traj.xis)
-    return float(np.max(np.abs(vals - vals[0])) / max(abs(float(vals[0])), floor))
+def poisson_bracket(F: PhaseFunction, G: PhaseFunction, metric: MetricField, x, xi):
+    """Canonical bracket {F, G}.  x and xi may carry leading batch axes; a
+    single point gives a float."""
+    x = np.asarray(x, dtype=float)
+    n = F.dim
+    xs = x.reshape(-1, n)
+    xis = np.asarray(xi, dtype=float).reshape(-1, n)
+    jac = np.stack([F.grad_batch(xs, xis), G.grad_batch(xs, xis)], axis=1)
+    Cx, Cp = canonical_gradients(jac, metric, xs, xis)
+    br = bracket(Cx[:, 0], Cp[:, 0], Cx[:, 1], Cp[:, 1])
+    return br.reshape(x.shape[:-1]) if x.ndim > 1 else float(br[0])
 
 
-def involution_matrix_for(
-    fns: Sequence[PhaseFunction],
-    metric: MetricField,
-    points: Sequence[PhasePoint],
-) -> np.ndarray:
-    """Normalised pairwise bracket magnitudes, maximised over sample points.
-
-    Entry (j, k) is max_p |{F_j, F_k}| / (1 + |dF_j| |dF_k|) with the
-    differential norms taken in canonical coordinates.  Diagonal entries are
-    exactly zero.
-    """
-    m = len(fns)
-    xs = np.array([p.x for p in points])
-    xis = np.array([p.xi for p in points])
-    grads = []
-    for F in fns:
-        Fx, Fp = canonical_gradients(F, metric, xs, xis)
-        grads.append((Fx, Fp, np.sqrt(np.sum(Fx * Fx + Fp * Fp, axis=1))))
-    out = np.zeros((m, m))
-    for j in range(m):
-        Fx, Fp, nj = grads[j]
-        for k in range(j + 1, m):
-            Gx, Gp, nk = grads[k]
-            br = np.einsum("Ni,Ni->N", Fx, Gp) - np.einsum("Ni,Ni->N", Fp, Gx)
-            val = float(np.max(np.abs(br) / (1.0 + nj * nk)))
-            out[j, k] = val
-            out[k, j] = val
-    return out
-
-
-def independence_rank_for(
-    fns: Sequence[PhaseFunction],
-    points: Sequence[PhasePoint],
-    rank_tol: float = 1e-8,
-) -> int:
-    """Max over points of the numerical rank of the stacked differentials."""
-    xs = np.array([p.x for p in points])
-    xis = np.array([p.xi for p in points])
-    stacked = np.stack([F.grad_batch(xs, xis) for F in fns], axis=1)  # (N, m, 2n)
-    best = 0
-    for k in range(stacked.shape[0]):
-        sv = np.linalg.svd(stacked[k], compute_uv=False)
-        if sv.size and sv[0] > 0:
-            best = max(best, int(np.sum(sv > rank_tol * sv[0])))
-    return best
+def conservation_drift(values, floor: float = 1e-12):
+    """max_t |F(t) - F(0)| / max(|F(0)|, floor) for values sampled along a
+    trajectory: shape (K,) gives one drift, (K, m) one per column."""
+    vals = np.asarray(values, dtype=float)
+    return np.max(np.abs(vals - vals[0]), axis=0) / np.maximum(np.abs(vals[0]), floor)

@@ -19,14 +19,15 @@ projective-factor integral exposed as painleve_I0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from . import dsl, matops
 from .dsl import Expression, d_exp
-from .geometry import Chart, MetricField, PhasePoint
-from .hamilton import PhaseFunction, involution_matrix_for, independence_rank_for
+from .geometry import MetricField, PhasePoint
+from .hamilton import PhaseFunction, bracket, canonical_gradients
 
 
 @dataclass(frozen=True)
@@ -122,37 +123,42 @@ def s_matrix(pair: MetricPair, x, k: int) -> np.ndarray:
     n = pair.dim
     if not 0 <= k <= n - 1:
         raise ValueError("k must lie in 0..n-1")
-    G = g_operator(pair, x)
-    c = char_coeffs(G)
-    S = c[0] * np.eye(n)
-    for i in range(1, k + 1):
-        S = S @ G + c[i] * np.eye(n)
-    return S
+    G = matops.from_cells(g_operator(pair, x).tolist())
+    S = next(islice(_s_matrices(G, _char_coeffs_cells(G)), k, None))
+    return matops.values_matrix(S)
 
 
 # ---------------------------------------------------------------------------
 # the integrals
 
 
-def _pipeline(pair: MetricPair, x_cells: list, xi_cells: list, ks: Sequence[int]) -> list:
-    """Evaluate I_k for all requested k over generic scalar cells."""
-    n = pair.dim
+def _s_matrices(G: np.ndarray, c: list):
+    """Yield S_0, S_1, ... by the Horner step S_k = S_{k-1} G + c_k E."""
+    S = matops.scale(matops.identity_obj(G.shape[0]), c[0])
+    yield S
+    for ck in c[1:]:
+        S = matops.add_scaled_identity(matops.matmul(S, G), ck)
+        yield S
+
+
+def _weight_data(pair: MetricPair, x_cells: list):
+    """gbar cells, the Cholesky factor of g, and log(det g / det gbar)."""
     gm = pair.g.eval_cells(x_cells)
     gb = pair.gbar.eval_cells(x_cells)
     Lg = matops.cholesky(gm)
     Lb = matops.cholesky(gb)
+    return gb, Lg, matops.chol_logdet(Lg) - matops.chol_logdet(Lb)
+
+
+def _pipeline(pair: MetricPair, x_cells: list, xi_cells: list, ks: Sequence[int]) -> list:
+    """Evaluate I_k for all requested k over generic scalar cells."""
+    n = pair.dim
+    gb, Lg, logratio = _weight_data(pair, x_cells)
     G = matops.chol_solve_mat(Lg, gb)
-    c = _char_coeffs_cells(G)
-    logratio = matops.chol_logdet(Lg) - matops.chol_logdet(Lb)
-    kmax = max(ks)
-    S = matops.scale(matops.identity_obj(n), c[0])
     quads = {}
-    for k in range(kmax + 1):
-        if k > 0:
-            S = matops.add_scaled_identity(matops.matmul(S, G), c[k])
+    for k, S in enumerate(islice(_s_matrices(G, _char_coeffs_cells(G)), max(ks) + 1)):
         if k in ks:
-            w = matops.matvec(S, xi_cells)
-            u = matops.matvec(gb, w)
+            u = matops.matvec(gb, matops.matvec(S, xi_cells))
             q = xi_cells[0] * u[0]
             for i in range(1, n):
                 q = q + xi_cells[i] * u[i]
@@ -174,41 +180,33 @@ def integral_phase_function(pair: MetricPair, k: int) -> PhaseFunction:
     return PhaseFunction(fn, pair.dim, f"I{k}[{pair.pair_id}]")
 
 
-def integral_family(pair: MetricPair) -> list[PhaseFunction]:
-    return [integral_phase_function(pair, k) for k in range(pair.dim)]
-
-
 def integrals_at(pair: MetricPair, xs, xis) -> np.ndarray:
     """All I_k at a batch of phase points; shape (N, n)."""
     xs = np.asarray(xs, dtype=float)
     xis = np.asarray(xis, dtype=float)
     n = pair.dim
-    x_cells = [xs[:, i] for i in range(n)]
-    xi_cells = [xis[:, i] for i in range(n)]
-    outs = _pipeline(pair, x_cells, xi_cells, list(range(n)))
-    N = xs.shape[0]
-    return np.stack(
-        [np.broadcast_to(np.asarray(dsl.scalar_value(o), dtype=float), (N,)) for o in outs],
-        axis=1,
-    )
+    outs = _pipeline(pair, list(xs.T), list(xis.T), range(n))
+    return np.stack([np.broadcast_to(dsl.scalar_value(o), (len(xs),)) for o in outs], axis=1)
+
+
+def integrals_jacobian(pair: MetricPair, xs, xis) -> np.ndarray:
+    """Differentials of all I_k in (x, xi) at a batch of phase points, by one
+    forward dual-number pass; shape (N, n, 2n)."""
+    xs = np.asarray(xs, dtype=float)
+    xis = np.asarray(xis, dtype=float)
+    n = pair.dim
+    x_cells = dsl.dual1_seeds(xs, nvars=2 * n, offset=0)
+    xi_cells = dsl.dual1_seeds(xis, nvars=2 * n, offset=n)
+    outs = _pipeline(pair, x_cells, xi_cells, range(n))
+    return np.stack([np.broadcast_to(o.grad, (len(xs), 2 * n)) for o in outs], axis=1)
 
 
 def painleve_I0(pair: MetricPair, p: PhasePoint) -> float:
     """(det g / det gbar)^{2/(n+1)} gbar(xi, xi), the classical two-dimensional
     integral in its n-dimensional form.  Equals (-1)^n integral_Ik(..., 0)."""
-    return float(dsl.scalar_value(painleve_phase_function(pair).fn(list(p.x), list(p.xi))))
-
-
-def painleve_phase_function(pair: MetricPair) -> PhaseFunction:
-    n = pair.dim
-
-    def fn(x, xi):
-        gm = pair.g.eval_cells(x)
-        gb = pair.gbar.eval_cells(x)
-        logratio = matops.chol_logdet(matops.cholesky(gm)) - matops.chol_logdet(matops.cholesky(gb))
-        return d_exp(logratio * (2.0 / (n + 1.0))) * matops.quadratic_form(gb, xi)
-
-    return PhaseFunction(fn, n, f"painleve[{pair.pair_id}]")
+    gb, _, logratio = _weight_data(pair, list(p.x))
+    out = d_exp(logratio * (2.0 / (pair.dim + 1.0))) * matops.quadratic_form(gb, list(p.xi))
+    return float(dsl.scalar_value(out))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +245,7 @@ def transfer_killing(pair: MetricPair, covector: Sequence[Expression]) -> PhaseF
 
     def fn(x, xi):
         env = dsl.eval_env(names, x)
-        gm = pair.g.eval_cells(x)
-        gb = pair.gbar.eval_cells(x)
-        logratio = matops.chol_logdet(matops.cholesky(gm)) - matops.chol_logdet(matops.cholesky(gb))
+        _, _, logratio = _weight_data(pair, x)
         s = covector[0].evaluate(env) * xi[0]
         for i in range(1, n):
             s = s + covector[i].evaluate(env) * xi[i]
@@ -259,12 +255,30 @@ def transfer_killing(pair: MetricPair, covector: Sequence[Expression]) -> PhaseF
 
 
 # ---------------------------------------------------------------------------
-# pair-level verification wrappers
+# involution and independence of a family, from its stacked differentials
 
 
-def involution_matrix(pair: MetricPair, points: Sequence[PhasePoint]) -> np.ndarray:
-    return involution_matrix_for(integral_family(pair), pair.g, points)
+def involution_matrix(jac, metric: MetricField, xs, xis) -> np.ndarray:
+    """Normalised pairwise bracket magnitudes, maximised over sample points.
+
+    jac holds the (x, xi) differentials of m phase functions at N points,
+    shape (N, m, 2n), as integrals_jacobian gives them.  Entry (j, k) is
+    max_p |{F_j, F_k}| / (1 + |dF_j| |dF_k|) with the differential norms
+    taken in canonical coordinates.  Diagonal entries are exactly zero.
+    """
+    Fx, Fp = canonical_gradients(jac, metric, xs, xis)  # (N, m, n) each
+    norms = np.sqrt(np.sum(Fx * Fx + Fp * Fp, axis=2))
+    m = Fx.shape[1]
+    out = np.zeros((m, m))
+    for j in range(m):
+        for k in range(j + 1, m):
+            br = bracket(Fx[:, j], Fp[:, j], Fx[:, k], Fp[:, k])
+            out[j, k] = out[k, j] = float(np.max(np.abs(br) / (1.0 + norms[:, j] * norms[:, k])))
+    return out
 
 
-def independence_rank(pair: MetricPair, points: Sequence[PhasePoint], rank_tol: float = 1e-8) -> int:
-    return independence_rank_for(integral_family(pair), points, rank_tol)
+def independence_rank(jac, rank_tol: float = 1e-8) -> int:
+    """Max over points of the numerical rank of the stacked (N, m, 2n)
+    differentials."""
+    sv = np.linalg.svd(jac, compute_uv=False)  # (N, min(m, 2n)), descending
+    return int(np.max(np.sum(sv > rank_tol * sv[:, :1], axis=1), initial=0))

@@ -85,14 +85,6 @@ def scale(a: np.ndarray, c) -> np.ndarray:
     return out
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i, j] = a[i, j] + b[i, j]
-    return out
-
-
 def add_scaled_identity(a: np.ndarray, c) -> np.ndarray:
     out = a.copy()
     for i in range(a.shape[0]):
@@ -161,14 +153,6 @@ def chol_logdet(L: np.ndarray):
     for i in range(1, L.shape[0]):
         s = s + d_log(L[i, i])
     return s + s
-
-
-def spd_det(a: np.ndarray):
-    L = cholesky(a)
-    s = L[0, 0]
-    for i in range(1, L.shape[0]):
-        s = s * L[i, i]
-    return s * s
 
 
 def quadratic_form(a: np.ndarray, v) -> object:

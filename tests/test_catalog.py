@@ -147,7 +147,7 @@ def test_amplitude_zero_is_a_continuity_control():
     p0 = sample_phase_points(pair, 1, rng)[0]
     traj = integrate_geodesic(pair.g, p0, 5.0, GeodesicOptions(rtol=1e-10, atol=1e-10))
     F = integral_phase_function(pair, 0)
-    assert conservation_drift(F, traj) <= 1e-6
+    assert conservation_drift(F.value_batch(traj.xs, traj.xis)) <= 1e-6
 
 
 def test_conformal_amplitude_zero_is_identity_pair():

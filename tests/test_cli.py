@@ -361,20 +361,91 @@ def test_cmd_factory_report_shape():
     }
 
 
-@pytest.mark.parametrize("name", ["sphere", "euclidean:2", "ellipsoid:1,2,3", "lc-demo:m3n4"])
-def test_sample_phase_points_matches_per_point_reference(name):
-    """The batched norm leaves the sampler's RNG stream and every direction
-    bitwise as a point-by-point loop over values_at makes them."""
-    from geodequiv import resolve_pair
+def test_verify_runs_the_integral_pipeline_once_per_stage(monkeypatch):
+    """One dual-number pass feeds involution and rank; one value pass per
+    trajectory feeds conservation of every integral."""
+    from geodequiv import integrals
+    from geodequiv.dsl import Dual1
 
-    pair = resolve_pair(name)
-    rng = np.random.default_rng(17)
+    kinds = []
+    pipeline = integrals._pipeline
+
+    def counting(pair, x_cells, xi_cells, ks):
+        kinds.append("dual" if isinstance(xi_cells[0], Dual1) else "value")
+        return pipeline(pair, x_cells, xi_cells, ks)
+
+    monkeypatch.setattr(integrals, "_pipeline", counting)
+    _, code = cmd_verify(RunConfig(pair="lc-demo:m3n4", trajectories=3, points=5))
+    assert code == 0
+    assert kinds.count("dual") == 1
+    assert kinds.count("value") == 3
+
+
+INLINE_DISC = {
+    "id": "disc", "coordinates": ["u", "v"], "box": [[-1.0, 1.0], [-1.0, 1.0]],
+    "domain": "1 - u^2 - v^2", "g[1][1]": "1", "g[2][2]": "2 + u",
+    "gbar[1][1]": "1", "gbar[2][2]": "2 + u",
+}
+
+
+class StreamRng:
+    """Generator stand-in: uniform draws from a seeded generator, normal
+    draws from a fixed flat stream that may hold zero directions."""
+
+    def __init__(self, seed, normals):
+        self._rng = np.random.default_rng(seed)
+        self._normals = list(normals)
+
+    def random(self, size):
+        return self._rng.random(size)
+
+    def standard_normal(self, size):
+        k = int(np.prod(size))
+        out, self._normals = self._normals[:k], self._normals[k:]
+        return np.array(out).reshape(size)
+
+
+def per_point_sample(pair, count, rng):
+    """Reference sampler: the box points one at a time, then the directions
+    one at a time."""
+    chart = pair.g.chart
+    lo, hi = np.array(chart.sample_box).T
+    xs = []
+    while len(xs) < count:
+        x = lo + (hi - lo) * rng.random(pair.dim)
+        if chart.contains(x):
+            xs.append(x)
     want = []
-    for x in pair.g.chart.box_points(40, rng):
+    for x in xs:
         xi = rng.standard_normal(pair.dim)
         while float(np.linalg.norm(xi)) < 1e-12:
             xi = rng.standard_normal(pair.dim)
         want.append((x, xi / float(np.sqrt(xi @ pair.g.values_at(x) @ xi))))
+    return want
+
+
+@pytest.mark.parametrize("source", ["sphere", "euclidean:2", "ellipsoid:1,2,3", "lc-demo:m3n4",
+                                    INLINE_DISC])
+def test_sample_phase_points_matches_per_point_reference(source):
+    """Block draws leave the sampler's RNG stream, the domain rejections and
+    every direction bitwise as a point-by-point loop makes them."""
+    from geodequiv.cli import resolve_config_pair
+
+    pair = resolve_config_pair(source)
+    want = per_point_sample(pair, 40, np.random.default_rng(17))
     got = sample_phase_points(pair, 40, np.random.default_rng(17))
+    assert [(p.x.tobytes(), p.xi.tobytes()) for p in got] == [
+        (x.tobytes(), xi.tobytes()) for x, xi in want]
+
+
+def test_rejected_direction_takes_the_next_draws():
+    from geodequiv.cli import resolve_config_pair
+
+    pair = resolve_config_pair(INLINE_DISC)
+    normals = np.random.default_rng(5).standard_normal(60)
+    normals[4:6] = 0.0  # third direction
+    normals[10:14] = 1e-14  # sixth and seventh
+    want = per_point_sample(pair, 20, StreamRng(9, normals))
+    got = sample_phase_points(pair, 20, StreamRng(9, normals))
     assert [(p.x.tobytes(), p.xi.tobytes()) for p in got] == [
         (x.tobytes(), xi.tobytes()) for x, xi in want]

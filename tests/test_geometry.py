@@ -97,6 +97,9 @@ def test_box_points_respect_domain():
     pts = chart.box_points(50, np.random.default_rng(0))
     assert pts.shape == (50, 2)
     assert all(chart.contains(p) for p in pts)
+    outside = Chart(("u",), domain=parse("u - 2", ("u",)), sample_box=((-1.0, 1.0),))
+    with pytest.raises(ChartDomainError, match="rejection sampling"):
+        outside.box_points(3, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,16 @@ from geodequiv.dsl import parse
 from geodequiv.geometry import Chart, MetricField, PhasePoint
 from geodequiv.hamilton import (
     CanonicalPoint,
+    canonical_gradients,
     conservation_drift,
     coordinate_function,
     hamiltonian,
-    involution_matrix_for,
     legendre,
     legendre_inverse,
     momentum_function,
     poisson_bracket,
-    poisson_bracket_batch,
 )
-from geodequiv.integrals import integral_family, integral_phase_function
+from geodequiv.integrals import integral_phase_function, integrals_jacobian, involution_matrix
 
 
 def flat_metric(n=2, diag=None):
@@ -78,7 +77,7 @@ def test_bracket_of_hamiltonian_with_itself_is_exactly_zero():
     g = curved_metric()
     H = hamiltonian(g)
     p = PhasePoint([0.3, -0.2], [0.8, 0.1])
-    assert poisson_bracket(H, H, g, p) == 0.0
+    assert poisson_bracket(H, H, g, p.x, p.xi) == 0.0
 
 
 def test_canonical_pair_bracket_is_minus_one():
@@ -86,21 +85,21 @@ def test_canonical_pair_bracket_is_minus_one():
     p1 = momentum_function(g, 0)
     x1 = coordinate_function(0, 2)
     pt = PhasePoint([0.4, 0.1], [0.5, -0.7])
-    assert poisson_bracket(p1, x1, g, pt) == pytest.approx(-1.0, rel=1e-12)
-    assert poisson_bracket(x1, p1, g, pt) == pytest.approx(+1.0, rel=1e-12)
+    assert poisson_bracket(p1, x1, g, pt.x, pt.xi) == pytest.approx(-1.0, rel=1e-12)
+    assert poisson_bracket(x1, p1, g, pt.x, pt.xi) == pytest.approx(+1.0, rel=1e-12)
 
 
 def test_all_canonical_pairs():
     g = curved_metric()
-    pt = PhasePoint([0.2, -0.5], [0.9, 0.4])
+    x, xi = [0.2, -0.5], [0.9, 0.4]
     for i in range(2):
         for j in range(2):
             xi_f = coordinate_function(i, 2)
             pj_f = momentum_function(g, j)
             want = 1.0 if i == j else 0.0
-            assert poisson_bracket(xi_f, pj_f, g, pt) == pytest.approx(want, abs=1e-12)
-            assert poisson_bracket(xi_f, coordinate_function(j, 2), g, pt) == pytest.approx(0.0, abs=1e-13)
-            assert poisson_bracket(momentum_function(g, i), pj_f, g, pt) == pytest.approx(0.0, abs=1e-12)
+            assert poisson_bracket(xi_f, pj_f, g, x, xi) == pytest.approx(want, abs=1e-12)
+            assert poisson_bracket(xi_f, coordinate_function(j, 2), g, x, xi) == pytest.approx(0.0, abs=1e-13)
+            assert poisson_bracket(momentum_function(g, i), pj_f, g, x, xi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bracket_antisymmetry_and_leibniz():
@@ -109,9 +108,10 @@ def test_bracket_antisymmetry_and_leibniz():
     F = momentum_function(g, 1)
     K = coordinate_function(0, 2)
     pt = PhasePoint([0.15, 0.35], [0.6, -0.2])
-    assert poisson_bracket(H, F, g, pt) == pytest.approx(-poisson_bracket(F, H, g, pt), rel=1e-12)
-    lhs = poisson_bracket(H, F * K, g, pt)
-    rhs = poisson_bracket(H, F, g, pt) * K.at(pt) + F.at(pt) * poisson_bracket(H, K, g, pt)
+    x, xi = pt.x, pt.xi
+    assert poisson_bracket(H, F, g, x, xi) == pytest.approx(-poisson_bracket(F, H, g, x, xi), rel=1e-12)
+    lhs = poisson_bracket(H, F * K, g, x, xi)
+    rhs = poisson_bracket(H, F, g, x, xi) * K.at(pt) + F.at(pt) * poisson_bracket(H, K, g, x, xi)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -122,9 +122,10 @@ def test_bracket_batch_matches_pointwise():
     rng = np.random.default_rng(2)
     xs = rng.uniform(-0.8, 0.8, size=(12, 2))
     xis = rng.normal(size=(12, 2))
-    batch = poisson_bracket_batch(H, F, g, xs, xis)
-    single = [poisson_bracket(H, F, g, PhasePoint(x, xi)) for x, xi in zip(xs, xis)]
+    batch = poisson_bracket(H, F, g, xs, xis)
+    single = [poisson_bracket(H, F, g, x, xi) for x, xi in zip(xs, xis)]
     assert np.allclose(batch, single, rtol=1e-12, atol=1e-14)
+    assert poisson_bracket(H, F, g, xs.reshape(3, 4, 2), xis.reshape(3, 4, 2)).shape == (3, 4)
 
 
 def test_flow_brackets_vanish_for_equivalent_pair():
@@ -135,16 +136,13 @@ def test_flow_brackets_vanish_for_equivalent_pair():
     pts = sample_phase_points(pair, 100, rng)
     xs = np.array([p.x for p in pts])
     xis = np.array([p.xi for p in pts])
-    from geodequiv.hamilton import canonical_gradients
-
-    Hx, Hp = canonical_gradients(H, pair.g, xs, xis)
-    nH = np.sqrt(np.sum(Hx * Hx + Hp * Hp, axis=1))
+    jac = np.concatenate([H.grad_batch(xs, xis)[:, None], integrals_jacobian(pair, xs, xis)], axis=1)
+    Cx, Cp = canonical_gradients(jac, pair.g, xs, xis)
+    norms = np.sqrt(np.sum(Cx * Cx + Cp * Cp, axis=2))  # |dH|, |dI_0|, ..
     for k in range(pair.dim):
         F = integral_phase_function(pair, k)
-        Fx, Fp = canonical_gradients(F, pair.g, xs, xis)
-        nF = np.sqrt(np.sum(Fx * Fx + Fp * Fp, axis=1))
-        br = np.abs(poisson_bracket_batch(H, F, pair.g, xs, xis))
-        assert np.max(br / (1.0 + nH * nF)) <= 1e-8
+        br = np.abs(poisson_bracket(H, F, pair.g, xs, xis))
+        assert np.max(br / (1.0 + norms[:, 0] * norms[:, k + 1])) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,7 @@ def test_energy_drift_within_integrator_tolerance():
     p0 = sample_phase_points(pair, 1, rng)[0]
     opts = GeodesicOptions()
     traj = integrate_geodesic(pair.g, p0, 5.0, opts)
-    assert conservation_drift(H, traj) <= opts.energy_tol
+    assert conservation_drift(H.value_batch(traj.xs, traj.xis)) <= opts.energy_tol
 
 
 def test_bottom_integral_conserved_on_curved_pair():
@@ -168,7 +166,7 @@ def test_bottom_integral_conserved_on_curved_pair():
     traj = integrate_geodesic(pair.g, p0, 5.0,
                               GeodesicOptions(rtol=1e-10, atol=1e-10, energy_tol=1e-7))
     F = integral_phase_function(pair, 0)
-    assert conservation_drift(F, traj) <= 1e-6
+    assert conservation_drift(F.value_batch(traj.xs, traj.xis)) <= 1e-6
 
 
 def test_bottom_integral_drifts_on_broken_pair():
@@ -179,7 +177,7 @@ def test_bottom_integral_drifts_on_broken_pair():
     drifts = []
     for p0 in starts:
         traj = integrate_geodesic(pair.g, p0, 5.0, GeodesicOptions(energy_tol=1e-7))
-        drifts.append(conservation_drift(F, traj))
+        drifts.append(conservation_drift(F.value_batch(traj.xs, traj.xis)))
     assert max(drifts) > 1e-2
 
 
@@ -187,11 +185,16 @@ def test_bottom_integral_drifts_on_broken_pair():
 # involution summaries
 
 
+def family_involution(pair, pts):
+    xs = np.array([p.x for p in pts])
+    xis = np.array([p.xi for p in pts])
+    return involution_matrix(integrals_jacobian(pair, xs, xis), pair.g, xs, xis)
+
+
 def test_involution_matrix_diagonal_exact_zero_and_symmetry():
     pair = resolve_pair("lc-demo:m3n3")
     rng = np.random.default_rng(37)
-    pts = sample_phase_points(pair, 20, rng)
-    mat = involution_matrix_for(integral_family(pair), pair.g, pts)
+    mat = family_involution(pair, sample_phase_points(pair, 20, rng))
     assert np.array_equal(np.diag(mat), np.zeros(pair.dim))
     assert np.array_equal(mat, mat.T)
     assert np.max(mat) <= 1e-8
@@ -200,6 +203,5 @@ def test_involution_matrix_diagonal_exact_zero_and_symmetry():
 def test_involution_detects_noncommuting_family():
     pair = resolve_pair("falsify:random-conformal")
     rng = np.random.default_rng(41)
-    pts = sample_phase_points(pair, 30, rng)
-    mat = involution_matrix_for(integral_family(pair), pair.g, pts)
+    mat = family_involution(pair, sample_phase_points(pair, 30, rng))
     assert np.max(mat) > 1e-3

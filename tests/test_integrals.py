@@ -20,8 +20,9 @@ from geodequiv.integrals import (
     g_operator,
     independence_rank,
     integral_Ik,
-    integral_family,
+    integral_phase_function,
     integrals_at,
+    integrals_jacobian,
     involution_matrix,
     painleve_I0,
     s_matrix,
@@ -252,7 +253,7 @@ def test_transfer_conserved_along_revolution_geodesics():
     rng = np.random.default_rng(3)
     for p0 in sample_phase_points(pair, 3, rng):
         traj = integrate_geodesic(pair.g, p0, 5.0, GeodesicOptions(rtol=1e-10, atol=1e-10))
-        assert conservation_drift(F, traj) <= 1e-6
+        assert conservation_drift(F.value_batch(traj.xs, traj.xis)) <= 1e-6
 
 
 def test_transfer_checks_covector_length():
@@ -262,28 +263,63 @@ def test_transfer_checks_covector_length():
 
 
 # ---------------------------------------------------------------------------
-# pair-level wrappers
+# involution and independence from the family differentials
+
+
+def family_at(pair, pts):
+    """(xs, xis, integrals_jacobian) at a list of phase points."""
+    xs = np.array([p.x for p in pts])
+    xis = np.array([p.xi for p in pts])
+    return xs, xis, integrals_jacobian(pair, xs, xis)
 
 
 def test_involution_diagonal_is_exactly_zero():
     pair = resolve_pair("lc-demo:m2n2")
     rng = np.random.default_rng(10)
-    mat = involution_matrix(pair, sample_phase_points(pair, 10, rng))
+    xs, xis, jac = family_at(pair, sample_phase_points(pair, 10, rng))
+    mat = involution_matrix(jac, pair.g, xs, xis)
     assert np.array_equal(np.diag(mat), np.zeros(pair.dim))
+
+
+@pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "lc-demo:m3n4", "falsify:perturbed-lc"])
+def test_family_pass_equals_single_integral_passes(name):
+    """One pass over all k gives every I_k and its differential bit for bit
+    as the single-integral pass of integral_phase_function does."""
+    pair = resolve_pair(name)
+    xs, xis, jac = family_at(pair, sample_phase_points(pair, 12, np.random.default_rng(3)))
+    vals = integrals_at(pair, xs, xis)
+    for k in range(pair.dim):
+        F = integral_phase_function(pair, k)
+        assert vals[:, k].tobytes() == F.value_batch(xs, xis).tobytes()
+        assert jac[:, k].tobytes() == F.grad_batch(xs, xis).tobytes()
+
+
+def test_rank_matches_per_point_svd():
+    pair = resolve_pair("lc-demo:m2n3")
+    _, _, jac = family_at(pair, sample_phase_points(pair, 8, np.random.default_rng(5)))
+    jac = np.concatenate([jac, np.zeros_like(jac[:1])])  # a point with no differential
+    for tol in (1e-8, 1e-3, 0.3):
+        want = 0
+        for J in jac:
+            sv = np.linalg.svd(J, compute_uv=False)
+            if sv[0] > 0:
+                want = max(want, int(np.sum(sv > tol * sv[0])))
+        assert independence_rank(jac, tol) == want
+    assert independence_rank(np.zeros((3, 2, 4))) == 0
 
 
 def test_rank_one_for_proportional_metrics():
     pair = constant_pair([1, 2, 1], [1, 2, 1])
     rng = np.random.default_rng(11)
     pts = sample_phase_points(pair, 10, rng)
-    assert independence_rank(pair, pts) == 1
+    assert independence_rank(family_at(pair, pts)[2]) == 1
 
 
 def test_rank_two_for_ellipsoid():
     pair = resolve_pair("ellipsoid:1,2,3")
     rng = np.random.default_rng(12)
     pts = sample_phase_points(pair, 10, rng)
-    assert independence_rank(pair, pts) == 2
+    assert independence_rank(family_at(pair, pts)[2]) == 2
 
 
 def test_pair_requires_shared_chart():

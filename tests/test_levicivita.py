@@ -14,8 +14,8 @@ from geodequiv import GeodesicOptions, integrate_geodesic
 from geodequiv.cli import sample_phase_points
 from geodequiv.dsl import scalar_value
 from geodequiv.geometry import PhasePoint
-from geodequiv.hamilton import conservation_drift, involution_matrix_for
-from geodequiv.integrals import MetricPair, integral_Ik, integrals_at
+from geodequiv.hamilton import conservation_drift
+from geodequiv.integrals import MetricPair, integral_Ik, integrals_at, involution_matrix
 from geodequiv.levicivita import (
     LCSpec,
     build_pair,
@@ -166,8 +166,11 @@ def test_linear_integrals_conserved_and_commuting(battery_pairs):
     for p in starts:
         traj = integrate_geodesic(lc.pair.g, p, 5.0, opts)
         for L in fns:
-            assert conservation_drift(L, traj) <= 1e-6
-    mat = involution_matrix_for(fns, lc.pair.g, starts)
+            assert conservation_drift(L.value_batch(traj.xs, traj.xis)) <= 1e-6
+    xs = np.array([p.x for p in starts])
+    xis = np.array([p.xi for p in starts])
+    jac = np.stack([L.grad_batch(xs, xis) for L in fns], axis=1)
+    mat = involution_matrix(jac, lc.pair.g, xs, xis)
     assert np.max(mat) <= 1e-8
 
 
