@@ -37,6 +37,7 @@ from .geometry import (
     MetricField,
     PhasePoint,
     arc_length,
+    check_phase_points,
     geodesic_coincidence,
     integrate_geodesic,
     trajectory_to_csv,
@@ -217,9 +218,10 @@ def resolve_config_pair(source: str | dict) -> MetricPair:
 
 def sample_phase_points(
     pair: MetricPair, count: int, rng: np.random.Generator
-) -> list[PhasePoint]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw base points uniformly from the chart's sample box (respecting the
-    domain predicate) and directions uniformly from the unit g-sphere."""
+    domain predicate) and directions uniformly from the unit g-sphere, as
+    (count, n) arrays xs and xis."""
     xs = pair.g.chart.box_points(count, rng)
     # a rejected (near-zero) direction is replaced by the next draws in the
     # stream, so blocks of the remaining count give the per-point stream
@@ -228,7 +230,8 @@ def sample_phase_points(
         block = rng.standard_normal((count - len(xis), pair.dim))
         xis = np.concatenate([xis, block[np.linalg.norm(block, axis=1) >= 1e-12]])
     xis /= pair.g.norm(xs, xis)[:, None]
-    return [PhasePoint(x, xi) for x, xi in zip(xs, xis)]
+    check_phase_points(xs, xis)
+    return xs, xis
 
 
 def _max_workers(n_jobs: int) -> int:
@@ -270,15 +273,15 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     brackets at seeded phase points, and the independence rank."""
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
-    starts = sample_phase_points(pair, cfg.trajectories, rng)
+    starts = list(zip(*sample_phase_points(pair, cfg.trajectories, rng)))
     # the integrator's own energy self-check runs looser than the conservation
     # tolerance: near chart walls RK45 at 1e-10 legitimately accumulates ~1e-8
     # relative energy error, which the drift check judges, not the gate
     opts = GeodesicOptions(energy_tol=1e-7)
 
     def one_trajectory(job):
-        pid, p0 = job
-        traj = integrate_geodesic(pair.g, p0, cfg.t_end, opts)
+        pid, (x, xi) = job
+        traj = integrate_geodesic(pair.g, PhasePoint(x, xi), cfg.t_end, opts)
         drifts = conservation_drift(integrals_at(pair, traj.xs, traj.xis))
         return {
             "point_id": pid,
@@ -292,16 +295,14 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     rows.sort(key=lambda r: r["point_id"])
     drift_max = max(max(r["drift"]) for r in rows)
 
-    phase = sample_phase_points(pair, cfg.points, rng)
-    xs = np.array([p.x for p in phase])
-    xis = np.array([p.xi for p in phase])
+    xs, xis = sample_phase_points(pair, cfg.points, rng)
     jac = integrals_jacobian(pair, xs, xis)
     brackets = involution_matrix(jac, pair.g, xs, xis)
     offdiag = brackets - np.diag(np.diag(brackets))
     bracket_max = float(np.max(np.abs(offdiag)))
     diag_max = float(np.max(np.abs(np.diag(brackets))))
 
-    profiles = [eigen_profile(pair, p.x) for p in phase[: min(5, len(phase))]]
+    profiles = [eigen_profile(pair, x) for x in xs[:5]]
     m_required = max(pr.m for pr in profiles)
     rank = independence_rank(jac, rank_tol=cfg.rank_tol)
 
@@ -362,9 +363,7 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
     """
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
-    phase = sample_phase_points(pair, cfg.points, rng)
-    xs = np.array([p.x for p in phase])
-    xis = np.array([p.xi for p in phase])
+    xs, xis = sample_phase_points(pair, cfg.points, rng)
     fi = factory_integrals(pair, xs, xis)
     closed = coeffs_from_closed_form(pair, xs, xis)
     rows = []
@@ -384,9 +383,9 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
 
     # conservation: integrate on the pool, then take the factory route once
     # over every step-th sample of all trajectories
-    starts = sample_phase_points(pair, cfg.trajectories, rng)
+    starts = list(zip(*sample_phase_points(pair, cfg.trajectories, rng)))
     opts = GeodesicOptions(energy_tol=1e-7)
-    trajs = _pmap(lambda p0: integrate_geodesic(pair.g, p0, cfg.t_end, opts), starts)
+    trajs = _pmap(lambda s: integrate_geodesic(pair.g, PhasePoint(*s), cfg.t_end, opts), starts)
     picks = [np.arange(0, len(t), max(1, len(t) // 50)) for t in trajs]
     fc = factory_integrals(pair, np.concatenate([t.xs[k] for t, k in zip(trajs, picks)]),
                            np.concatenate([t.xis[k] for t, k in zip(trajs, picks)]))
@@ -443,14 +442,15 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
     and summarize the unparameterized-curve distance per direction."""
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
-    starts = sample_phase_points(pair, cfg.trajectories, rng)
+    starts = list(zip(*sample_phase_points(pair, cfg.trajectories, rng)))
     opts = GeodesicOptions(samples=1001, energy_tol=1e-7)
     out_dir = Path(cfg.out) if cfg.out is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def one_direction(job):
-        pid, p0 = job
+        pid, (x, xi) = job
+        p0 = PhasePoint(x, xi)
         tg = integrate_geodesic(pair.g, p0, cfg.t_end, opts)
         xib = p0.xi / pair.gbar.norm(p0.x, p0.xi)
         tb = integrate_geodesic(pair.gbar, PhasePoint(p0.x, xib), cfg.t_end, opts)

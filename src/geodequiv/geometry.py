@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -130,14 +129,20 @@ class PhasePoint:
         self.xi = np.asarray(xi, dtype=float).copy()
         if self.x.shape != self.xi.shape or self.x.ndim != 1:
             raise ValueError("x and xi must be vectors of equal length")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.xi))):
-            raise ValueError("phase point must be finite")
-        if float(np.linalg.norm(self.xi)) == 0.0:
-            raise ValueError("zero tangent vector is not an admissible phase point")
+        check_phase_points(self.x, self.xi)
 
     @property
     def dim(self) -> int:
         return self.x.shape[0]
+
+
+def check_phase_points(xs: np.ndarray, xis: np.ndarray) -> None:
+    """Refuse phase points that are not finite or have a zero tangent; xs
+    and xis may carry leading batch axes."""
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(xis))):
+        raise ValueError("phase point must be finite")
+    if np.any(np.linalg.norm(xis, axis=-1) == 0.0):
+        raise ValueError("zero tangent vector is not an admissible phase point")
 
 
 class MetricField:
@@ -448,6 +453,13 @@ def curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     within half the longest segment, h, of one of the segment's ends.  So
     the nearest segment has an end within dv + h of the point, and only the
     segments at the vertices inside that ball are measured, each exactly.
+
+    Only points that can set the maximum take that ball.  The two segments
+    at a point's nearest vertex give an upper bound ub on its exact value.
+    The point with the largest ub is measured exactly first, giving A; a
+    point with ub <= A cannot exceed A, so only the points with ub > A are
+    measured exactly after it.  Min and max are exact, so the result is that
+    of measuring every point.
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
@@ -458,22 +470,34 @@ def curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     dd = np.einsum("mj,mj->m", d, d)
     h = 0.5 * np.sqrt(np.max(dd))
     dd = np.where(dd == 0.0, 1.0, dd)
+
+    def squared(rows, verts):
+        """Squared distance of each point c1[rows] to the two segments
+        ending at its vertex in verts (vertex k ends segments k - 1 and k),
+        the smaller of the two."""
+        segs = np.column_stack([verts - 1, verts]).ravel().clip(0, len(a) - 1)
+        w = c1[np.repeat(rows, 2)] - a[segs]
+        t = np.clip(np.einsum("kj,kj->k", w, d[segs]) / dd[segs], 0.0, 1.0)
+        diff = w - t[:, None] * d[segs]
+        return np.min(np.einsum("kj,kj->k", diff, diff).reshape(-1, 2), axis=1)
+
     tree = cKDTree(c2)
     dv, nearest = tree.query(c1)
-    balls = tree.query_ball_point(c1, dv + h)
-    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(c1))
-    # the nearest vertex is listed on its own too, in case rounding leaves
-    # it out of its ball; vertex k ends segments k - 1 and k
-    verts = np.concatenate([nearest, np.fromiter(chain.from_iterable(balls), np.intp, sizes.sum())])
-    points = np.arange(len(c1))
-    rows = np.repeat(np.concatenate([points, np.repeat(points, sizes)]), 2)
-    segs = np.column_stack([verts - 1, verts]).ravel().clip(0, len(a) - 1)
-    w = c1[rows] - a[segs]
-    t = np.clip(np.einsum("kj,kj->k", w, d[segs]) / dd[segs], 0.0, 1.0)
-    diff = w - t[:, None] * d[segs]
-    best = np.full(len(c1), np.inf)
-    np.minimum.at(best, rows, np.einsum("kj,kj->k", diff, diff))
-    return float(np.sqrt(np.max(best)))
+    # the nearest vertex's segments are measured for every point, also
+    # in case rounding leaves that vertex out of its own ball
+    ub = squared(np.arange(len(c1)), nearest)
+
+    def exact(points):
+        balls = tree.query_ball_point(c1[points], dv[points] + h)
+        sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(points))
+        local = np.repeat(np.arange(len(points)), sizes)
+        best = ub[points]
+        np.minimum.at(best, local, squared(points[local], np.fromiter(
+            chain.from_iterable(balls), np.intp, sizes.sum())))
+        return best
+
+    top = exact(np.argmax(ub)[None])[0]
+    return float(np.sqrt(np.max(exact(np.flatnonzero(ub > top)), initial=top)))
 
 
 def symmetric_curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
@@ -532,24 +556,17 @@ def geodesic_coincidence(
 # export
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
+def _export_table(traj: Trajectory) -> tuple[list[str], list[list[float]]]:
     n = traj.xs.shape[1]
-    header = "t," + ",".join(f"x{i+1}" for i in range(n)) + "," + ",".join(
-        f"xi{i+1}" for i in range(n)
-    )
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for k in range(len(traj)):
-        row = [traj.ts[k], *traj.xs[k], *traj.xis[k]]
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+    cols = ["t"] + [f"x{i+1}" for i in range(n)] + [f"xi{i+1}" for i in range(n)]
+    return cols, np.column_stack([traj.ts, traj.xs, traj.xis]).tolist()
+
+
+def trajectory_to_csv(traj: Trajectory) -> str:
+    cols, rows = _export_table(traj)
+    return "\n".join([",".join(cols)] + [",".join(map(repr, row)) for row in rows]) + "\n"
 
 
 def trajectory_to_json(traj: Trajectory) -> str:
-    n = traj.xs.shape[1]
-    cols = ["t"] + [f"x{i+1}" for i in range(n)] + [f"xi{i+1}" for i in range(n)]
-    rows = [
-        [float(traj.ts[k]), *map(float, traj.xs[k]), *map(float, traj.xis[k])]
-        for k in range(len(traj))
-    ]
+    cols, rows = _export_table(traj)
     return json.dumps({"columns": cols, "rows": rows, "left_domain": traj.left_domain})

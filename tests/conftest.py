@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, settings
 
 from geodequiv import (
     GeodesicOptions,
+    PhasePoint,
     battery,
     build_pair,
     integrate_geodesic,
@@ -61,14 +62,15 @@ def geodesic_sets(equiv_pairs):
     out = {}
     for name, pair in equiv_pairs.items():
         rng = np.random.default_rng(GEODESIC_SEED)
-        starts = sample_phase_points(pair, 20, rng)
+        starts = map(PhasePoint, *sample_phase_points(pair, 20, rng))
         out[name] = [integrate_geodesic(pair.g, p, T_END, opts) for p in starts]
     return out
 
 
 @pytest.fixture(scope="session")
 def phase_sets(equiv_pairs):
-    """100 seeded phase points per equivalent pair, unit g-norm directions."""
+    """100 seeded phase points per equivalent pair as (xs, xis) arrays, unit
+    g-norm directions."""
     out = {}
     for name, pair in equiv_pairs.items():
         rng = np.random.default_rng(PHASE_SEED)

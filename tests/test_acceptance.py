@@ -17,6 +17,7 @@ import pytest
 from geodequiv import (
     EllipsoidSpec,
     GeodesicOptions,
+    PhasePoint,
     ambient_pullbacks,
     eigen_profile,
     ellipsoid_pair,
@@ -60,9 +61,7 @@ def test_01_integrals_conserved_along_geodesics(equiv_pairs, geodesic_sets):
 def test_02_integrals_pairwise_commute(equiv_pairs, phase_sets):
     worst = 0.0
     for name in EQUIV_PAIR_NAMES:
-        pair, pts = equiv_pairs[name], phase_sets[name]
-        xs = np.array([p.x for p in pts])
-        xis = np.array([p.xi for p in pts])
+        pair, (xs, xis) = equiv_pairs[name], phase_sets[name]
         mat = involution_matrix(integrals_jacobian(pair, xs, xis), pair.g, xs, xis)
         assert np.all(np.diag(mat) == 0.0)
         off = mat[~np.eye(mat.shape[0], dtype=bool)]
@@ -77,9 +76,9 @@ def test_03_top_integral_is_minus_energy(equiv_pairs, phase_sets):
     worst = 0.0
     for name in EQUIV_PAIR_NAMES:
         pair = equiv_pairs[name]
-        pts = phase_sets[name]
-        vals = integrals_at(pair, [p.x for p in pts], [p.xi for p in pts])
-        for p, row in zip(pts, vals):
+        xs, xis = phase_sets[name]
+        vals = integrals_at(pair, xs, xis)
+        for p, row in zip(map(PhasePoint, xs, xis), vals):
             energy = float(p.xi @ pair.g.values_at(p.x) @ p.xi)
             rel = abs(row[-1] + energy) / max(abs(energy), 1e-12)
             worst = max(worst, rel)
@@ -92,8 +91,7 @@ def test_04_factory_divides_and_conserves(equiv_pairs, phase_sets, geodesic_sets
     worst_rem = 0.0
     for name in EQUIV_PAIR_NAMES:
         pair = equiv_pairs[name]
-        pts = phase_sets[name]
-        fi = factory_integrals(pair, np.array([p.x for p in pts]), np.array([p.xi for p in pts]))
+        fi = factory_integrals(pair, *phase_sets[name])
         for coeffs, remainder in zip(fi.coeffs.coeffs, fi.remainder):
             scale = float(np.linalg.norm(coeffs))
             worst_rem = max(worst_rem, abs(remainder) / scale)
@@ -158,13 +156,13 @@ def test_07_geodesics_coincide_as_unparameterized_curves(equiv_pairs):
     for name in EQUIV_PAIR_NAMES:
         pair = equiv_pairs[name]
         rng = np.random.default_rng(COINCIDENCE_SEED)
-        for p in sample_phase_points(pair, 20, rng):
+        for p in map(PhasePoint, *sample_phase_points(pair, 20, rng)):
             worst = max(worst, geodesic_coincidence(pair.g, pair.gbar, p))
     broken = resolve_pair("falsify:random-conformal")
     rng = np.random.default_rng(COINCIDENCE_SEED)
     broken_min = min(
         geodesic_coincidence(broken.g, broken.gbar, p)
-        for p in sample_phase_points(broken, 5, rng)
+        for p in map(PhasePoint, *sample_phase_points(broken, 5, rng))
     )
     ok = worst <= 1e-5 and broken_min > 1e-2
     report_line(ok, "geodesic-coincidence",
@@ -194,7 +192,7 @@ def test_09_integrals_decompose_over_linear_family(battery_pairs):
     for key, lc in battery_pairs.items():
         pair = lc.pair
         rng = np.random.default_rng(DECOMP_SEED)
-        pts = sample_phase_points(pair, 100, rng)
+        pts = list(map(PhasePoint, *sample_phase_points(pair, 100, rng)))
         for k in range(pair.dim):
             for p in pts:
                 pred = lc.predicted_integral(k, p)
@@ -209,7 +207,7 @@ def test_09_integrals_decompose_over_linear_family(battery_pairs):
         pair, n = lc.pair, lc.pair.dim
         Ls = lc.linear_integrals()
         rng = np.random.default_rng(DECOMP_SEED)
-        for p in sample_phase_points(pair, 100, rng):
+        for p in map(PhasePoint, *sample_phase_points(pair, 100, rng)):
             for k in range(n):
                 want = (-1.0) ** (n + k) * Ls[n - k - 1].at(p)
                 got = integral_Ik(pair, p, k)
@@ -233,7 +231,7 @@ def test_10_first_integral_discriminates_in_2d(equiv_pairs, geodesic_sets):
     rng = np.random.default_rng(101)
     opts = GeodesicOptions(rtol=1e-10, atol=1e-10, energy_tol=1e-7)
     broken_max = 0.0
-    for p in sample_phase_points(broken, 10, rng):
+    for p in map(PhasePoint, *sample_phase_points(broken, 10, rng)):
         traj = integrate_geodesic(broken.g, p, 5.0, opts)
         broken_max = max(broken_max, float(family_drift(broken, traj)[0]))
 
@@ -249,9 +247,9 @@ def test_11_integrals_functionally_independent(battery_pairs):
     for key, lc in battery_pairs.items():
         pair = lc.pair
         rng = np.random.default_rng(RANK_SEED)
-        pts = sample_phase_points(pair, 20, rng)
-        m = max(eigen_profile(pair, p.x).m for p in pts[:5])
-        jac = integrals_jacobian(pair, np.array([p.x for p in pts]), np.array([p.xi for p in pts]))
+        xs, xis = sample_phase_points(pair, 20, rng)
+        m = max(eigen_profile(pair, x).m for x in xs[:5])
+        jac = integrals_jacobian(pair, xs, xis)
         rank = independence_rank(jac)
         results.append((key, rank, m))
     ok = all(rank >= m for _, rank, m in results)

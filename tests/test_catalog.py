@@ -24,7 +24,7 @@ from geodequiv.catalog import (
     sphere_pair,
 )
 from geodequiv.cli import sample_phase_points
-from geodequiv.geometry import GeodesicOptions, integrate_geodesic
+from geodequiv.geometry import GeodesicOptions, PhasePoint, integrate_geodesic
 from geodequiv.hamilton import conservation_drift
 from geodequiv.integrals import eigen_profile, integral_phase_function
 
@@ -144,7 +144,7 @@ def test_sphere_pair_has_domain_guard():
 def test_amplitude_zero_is_a_continuity_control():
     pair = falsification_pair("perturbed-lc", amplitude=0.0)
     rng = np.random.default_rng(5)
-    p0 = sample_phase_points(pair, 1, rng)[0]
+    p0 = PhasePoint(*(v[0] for v in sample_phase_points(pair, 1, rng)))
     traj = integrate_geodesic(pair.g, p0, 5.0, GeodesicOptions(rtol=1e-10, atol=1e-10))
     F = integral_phase_function(pair, 0)
     assert conservation_drift(F.value_batch(traj.xs, traj.xis)) <= 1e-6

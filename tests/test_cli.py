@@ -20,6 +20,7 @@ from geodequiv.cli import (
     pair_from_inline,
     sample_phase_points,
 )
+from geodequiv.geometry import PhasePoint
 
 
 def run_cli(capsys, *argv):
@@ -307,7 +308,7 @@ def test_lc_build_round_trip(capsys, tmp_path):
 
     direct = build_pair(battery()["m2n2"]).pair
     rng = np.random.default_rng(9)
-    for p in sample_phase_points(direct, 5, rng):
+    for p in map(PhasePoint, *sample_phase_points(direct, 5, rng)):
         assert np.allclose(rebuilt.g.values_at(p.x), direct.g.values_at(p.x), rtol=1e-12)
         assert np.allclose(rebuilt.gbar.values_at(p.x), direct.gbar.values_at(p.x), rtol=1e-12)
 
@@ -433,9 +434,24 @@ def test_sample_phase_points_matches_per_point_reference(source):
 
     pair = resolve_config_pair(source)
     want = per_point_sample(pair, 40, np.random.default_rng(17))
-    got = sample_phase_points(pair, 40, np.random.default_rng(17))
-    assert [(p.x.tobytes(), p.xi.tobytes()) for p in got] == [
+    got = zip(*sample_phase_points(pair, 40, np.random.default_rng(17)))
+    assert [(x.tobytes(), xi.tobytes()) for x, xi in got] == [
         (x.tobytes(), xi.tobytes()) for x, xi in want]
+
+
+@pytest.mark.parametrize("entry, message", [("exp(800*u)", "zero tangent"),
+                                            ("u - 2", "must be finite")])
+def test_sampler_refuses_inadmissible_phase_points(entry, message):
+    """An overflowing g-norm scales every direction to zero, a negative one
+    makes it NaN; the sampler raises PhasePoint's errors for both."""
+    from geodequiv.cli import resolve_config_pair
+
+    pair = resolve_config_pair({
+        "id": "bad", "coordinates": ["u", "v"], "box": [[0.9, 1.0], [-1.0, 1.0]],
+        "g[1][1]": entry, "g[2][2]": "1", "gbar[1][1]": "1", "gbar[2][2]": "1",
+    })
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+        sample_phase_points(pair, 5, np.random.default_rng(0))
 
 
 def test_rejected_direction_takes_the_next_draws():
@@ -446,6 +462,6 @@ def test_rejected_direction_takes_the_next_draws():
     normals[4:6] = 0.0  # third direction
     normals[10:14] = 1e-14  # sixth and seventh
     want = per_point_sample(pair, 20, StreamRng(9, normals))
-    got = sample_phase_points(pair, 20, StreamRng(9, normals))
-    assert [(p.x.tobytes(), p.xi.tobytes()) for p in got] == [
+    got = zip(*sample_phase_points(pair, 20, StreamRng(9, normals)))
+    assert [(x.tobytes(), xi.tobytes()) for x, xi in got] == [
         (x.tobytes(), xi.tobytes()) for x, xi in want]

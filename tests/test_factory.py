@@ -227,7 +227,7 @@ def test_a_scalar_trivial_values():
 def test_a_scalar_matches_norm_ratio_on_curved_pair():
     pair = resolve_pair("ellipsoid:1,2,3")
     rng = np.random.default_rng(3)
-    for p in sample_phase_points(pair, 5, rng):
+    for p in map(PhasePoint, *sample_phase_points(pair, 5, rng)):
         want = pair.gbar.norm(p.x, p.xi) / pair.g.norm(p.x, p.xi)
         assert a_scalar(pair, p.x, p.xi) == pytest.approx(want, rel=1e-14)
 
@@ -297,7 +297,7 @@ def test_delta_poly_identity_pair_is_shifted_binomial():
 def test_delta_poly_squares_to_determinant_ratio():
     pair = resolve_pair("ellipsoid:1,2,3")
     rng = np.random.default_rng(71)
-    p = sample_phase_points(pair, 1, rng)[0]
+    p = PhasePoint(*(v[0] for v in sample_phase_points(pair, 1, rng)))
     delta = delta_poly(pair, p.x, p.xi)
     omega = omega_g_at(pair.g, p.x, p.xi).matrix
     pulled = pullback_phi_omega(pair, p.x, p.xi).matrix
@@ -363,7 +363,7 @@ def test_rank_one_matches_full_determinant():
 def test_remainder_small_on_equivalent_pair():
     pair = resolve_pair("lc-demo:m2n2")
     rng = np.random.default_rng(83)
-    for p in sample_phase_points(pair, 10, rng):
+    for p in map(PhasePoint, *sample_phase_points(pair, 10, rng)):
         fi = factory_integrals(pair, p.x, p.xi)
         scale = np.linalg.norm(fi.delta.coeffs)
         assert abs(fi.remainder) <= 1e-8 * scale
@@ -375,7 +375,7 @@ def test_quotient_matches_closed_form_dictionary():
     for name in ("ellipsoid:1,2,3", "lc-demo:m2n3", "lc-demo:m3n4"):
         pair = resolve_pair(name)
         rng = np.random.default_rng(89)
-        for p in sample_phase_points(pair, 5, rng):
+        for p in map(PhasePoint, *sample_phase_points(pair, 5, rng)):
             fi = factory_integrals(pair, p.x, p.xi)
             closed = coeffs_from_closed_form(pair, p.x, p.xi)
             assert np.allclose(np.array(fi.coeffs.coeffs), closed, rtol=1e-8, atol=1e-8)
@@ -384,9 +384,8 @@ def test_quotient_matches_closed_form_dictionary():
 @pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "lc-demo:m3n4", "falsify:perturbed-lc"])
 def test_batched_factory_equals_single_points(name):
     pair = resolve_pair(name)
-    pts = sample_phase_points(pair, 12, np.random.default_rng(101))
-    xs = np.array([p.x for p in pts])
-    xis = np.array([p.xi for p in pts])
+    xs, xis = sample_phase_points(pair, 12, np.random.default_rng(101))
+    pts = list(map(PhasePoint, xs, xis))
     fi = factory_integrals(pair, xs, xis)
     closed = coeffs_from_closed_form(pair, xs, xis)
     singles = [factory_integrals(pair, p.x, p.xi) for p in pts]

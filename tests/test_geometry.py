@@ -20,6 +20,7 @@ from geodequiv.geometry import (
     Trajectory,
     arc_length,
     arclength_reparam,
+    check_phase_points,
     christoffel,
     curve_distance,
     geodesic_rhs,
@@ -258,6 +259,19 @@ def test_trajectory_names_first_sample_outside_domain(factors):
         Trajectory(g, np.arange(4.0), samples, xis)
 
 
+def test_phase_checks_name_the_same_fault_for_a_batch_and_a_point():
+    xs, xis = np.zeros((3, 2)), np.ones((3, 2))
+    check_phase_points(xs, xis)
+    for x1, xi1, message in ((np.nan, 1.0, "must be finite"), (0.0, -np.inf, "must be finite"),
+                             (0.0, 0.0, "zero tangent")):
+        bad_xs, bad_xis = xs.copy(), xis.copy()
+        bad_xs[1], bad_xis[1] = x1, xi1
+        with pytest.raises(ValueError, match=message):
+            check_phase_points(bad_xs, bad_xis)
+        with pytest.raises(ValueError, match=message):
+            PhasePoint(bad_xs[1], bad_xis[1])
+
+
 def test_trajectory_requires_increasing_times():
     g = euclid_metric(1)
     with pytest.raises(ValueError):
@@ -390,6 +404,8 @@ def curve_cases(draw, case):
         return c1, np.repeat(c2, repeats, axis=0)
     if case == "far-apart":
         return c1, c2 + draw(st.sampled_from([1e3, -1e4]))
+    if case == "loose-bound":
+        return loose_bound_curves(draw, max(n, 2))
     # c2 goes out and comes back along nearly the same path, and c1 runs c2
     # backwards: each point has two close legs, and its nearest segment is
     # often far in index from the aligned one
@@ -398,12 +414,46 @@ def curve_cases(draw, case):
     return c2[::-1] + draw(st.floats(-1e-2, 1e-2)), c2
 
 
-@pytest.mark.parametrize("case", ["zero-length", "single-vertex", "far-apart", "doubles-back"])
+def loose_bound_curves(draw, n):
+    """c2 is one long segment along e1 and a dense path back under it, at
+    depth `far` below its first half and `near` below its second half; c1
+    runs beside the long segment, closer over the first half.  Each point's
+    nearest vertex is on the dense path, so its two segments overestimate
+    the distance, and most where the exact distance is smallest."""
+    length = draw(st.floats(10.0, 20.0))
+    far, near = draw(st.floats(0.7, 1.0)), draw(st.floats(0.1, 0.3))
+    back = np.linspace(length, 0.0, draw(st.integers(100, 300)))
+    path = np.column_stack([back, np.where(back < length / 2, -far, -near)])
+    c2 = np.vstack([[0.0, 0.0], [length, 0.0], path])
+    # (position along the segment as a fraction, offset from it)
+    beside = st.tuples(st.floats(0.2, 0.4), st.floats(0.0, 0.1))
+    farther = st.tuples(st.floats(0.6, 0.8), st.floats(0.15, 0.25))
+    rows = draw(st.permutations(draw(st.lists(beside, min_size=1, max_size=10))
+                                + draw(st.lists(farther, min_size=1, max_size=10))))
+    c1 = np.array(rows) * [length, 1.0]
+    pad = ((0, 0), (0, n - 2))
+    return np.pad(c1, pad), np.pad(c2, pad)
+
+
+@pytest.mark.parametrize("case", ["zero-length", "single-vertex", "far-apart", "doubles-back",
+                                  "loose-bound"])
 @given(data=st.data())
 def test_distance_matches_brute_force(case, data):
     c1, c2 = data.draw(curve_cases(case))
     want = brute_curve_distance(c1, c2)
     assert abs(curve_distance(c1, c2) - want) <= 4 * np.spacing(want)
+
+
+def test_distance_when_every_point_ties_at_its_bound():
+    """Parallel offset curves with vertices abreast: every point's bound is
+    its exact distance, the same for all, and no point is left to measure
+    after the first."""
+    x = np.arange(50.0)
+    for sign in (1.0, -1.0):
+        c1 = np.column_stack([x, np.full_like(x, 0.5 * sign), x[::-1] / 8])
+        c2 = np.column_stack([x, np.zeros_like(x), x[::-1] / 8])
+        assert curve_distance(c1, c2) == 0.5 == brute_curve_distance(c1, c2)
+        assert curve_distance(c1[::-1], c2) == 0.5
 
 
 def test_distance_handles_single_point_reference():
@@ -426,6 +476,27 @@ def test_csv_export_shape():
     row = [float(v) for v in lines[-1].split(",")]
     assert row[0] == pytest.approx(1.0)
     assert row[1] == pytest.approx(1.0)
+
+
+EXPORT_FLOATS = st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, 1e300, -1e300, 0.1]) | st.floats(
+    -1e300, 1e300)
+
+
+@given(data=st.data())
+def test_exports_write_the_repr_of_every_value(data):
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(2, 6))
+    ts = sorted(data.draw(st.lists(EXPORT_FLOATS, min_size=k, max_size=k, unique=True)))
+    values = st.lists(st.lists(EXPORT_FLOATS, min_size=n, max_size=n), min_size=k, max_size=k)
+    left = data.draw(st.booleans())
+    traj = Trajectory(euclid_metric(n), ts, data.draw(values), data.draw(values), left_domain=left)
+    cols = ["t"] + [f"x{i+1}" for i in range(n)] + [f"xi{i+1}" for i in range(n)]
+    rows = [[repr(float(v)) for v in (traj.ts[j], *traj.xs[j], *traj.xis[j])] for j in range(k)]
+    assert trajectory_to_csv(traj) == "".join(",".join(r) + "\n" for r in [cols] + rows)
+    assert trajectory_to_json(traj) == (
+        '{"columns": [' + ", ".join(f'"{c}"' for c in cols) + '], "rows": ['
+        + ", ".join("[" + ", ".join(r) + "]" for r in rows) + '], "left_domain": '
+        + ("true" if left else "false") + "}")
 
 
 def test_json_export_fields():

@@ -133,9 +133,7 @@ def test_flow_brackets_vanish_for_equivalent_pair():
     pair = resolve_pair("lc-demo:m2n3")
     H = hamiltonian(pair.g)
     rng = np.random.default_rng(17)
-    pts = sample_phase_points(pair, 100, rng)
-    xs = np.array([p.x for p in pts])
-    xis = np.array([p.xi for p in pts])
+    xs, xis = sample_phase_points(pair, 100, rng)
     jac = np.concatenate([H.grad_batch(xs, xis)[:, None], integrals_jacobian(pair, xs, xis)], axis=1)
     Cx, Cp = canonical_gradients(jac, pair.g, xs, xis)
     norms = np.sqrt(np.sum(Cx * Cx + Cp * Cp, axis=2))  # |dH|, |dI_0|, ..
@@ -153,7 +151,7 @@ def test_energy_drift_within_integrator_tolerance():
     pair = resolve_pair("lc-demo:m2n2")
     H = hamiltonian(pair.g)
     rng = np.random.default_rng(23)
-    p0 = sample_phase_points(pair, 1, rng)[0]
+    p0 = PhasePoint(*(v[0] for v in sample_phase_points(pair, 1, rng)))
     opts = GeodesicOptions()
     traj = integrate_geodesic(pair.g, p0, 5.0, opts)
     assert conservation_drift(H.value_batch(traj.xs, traj.xis)) <= opts.energy_tol
@@ -162,7 +160,7 @@ def test_energy_drift_within_integrator_tolerance():
 def test_bottom_integral_conserved_on_curved_pair():
     pair = resolve_pair("ellipsoid:1,2,3")
     rng = np.random.default_rng(29)
-    p0 = sample_phase_points(pair, 1, rng)[0]
+    p0 = PhasePoint(*(v[0] for v in sample_phase_points(pair, 1, rng)))
     traj = integrate_geodesic(pair.g, p0, 5.0,
                               GeodesicOptions(rtol=1e-10, atol=1e-10, energy_tol=1e-7))
     F = integral_phase_function(pair, 0)
@@ -172,7 +170,7 @@ def test_bottom_integral_conserved_on_curved_pair():
 def test_bottom_integral_drifts_on_broken_pair():
     pair = resolve_pair("falsify:perturbed-lc:0.1")
     rng = np.random.default_rng(31)
-    starts = sample_phase_points(pair, 5, rng)
+    starts = map(PhasePoint, *sample_phase_points(pair, 5, rng))
     F = integral_phase_function(pair, 0)
     drifts = []
     for p0 in starts:
@@ -185,9 +183,8 @@ def test_bottom_integral_drifts_on_broken_pair():
 # involution summaries
 
 
-def family_involution(pair, pts):
-    xs = np.array([p.x for p in pts])
-    xis = np.array([p.xi for p in pts])
+def family_involution(pair, phase):
+    xs, xis = phase
     return involution_matrix(integrals_jacobian(pair, xs, xis), pair.g, xs, xis)
 
 

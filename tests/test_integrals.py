@@ -169,7 +169,7 @@ def test_bottom_integral_is_signed_painleve():
     for name in ("ellipsoid:1,2,3", "lc-demo:m2n3"):
         pair = resolve_pair(name)
         rng = np.random.default_rng(4)
-        for p in sample_phase_points(pair, 5, rng):
+        for p in map(PhasePoint, *sample_phase_points(pair, 5, rng)):
             n = pair.dim
             assert integral_Ik(pair, p, 0) == pytest.approx(
                 (-1.0) ** n * painleve_I0(pair, p), rel=1e-12
@@ -179,12 +179,10 @@ def test_bottom_integral_is_signed_painleve():
 def test_batch_integrals_match_pointwise():
     pair = resolve_pair("lc-demo:m2n2")
     rng = np.random.default_rng(8)
-    pts = sample_phase_points(pair, 16, rng)
-    xs = np.array([p.x for p in pts])
-    xis = np.array([p.xi for p in pts])
+    xs, xis = sample_phase_points(pair, 16, rng)
     batch = integrals_at(pair, xs, xis)
     for k in range(pair.dim):
-        single = np.array([integral_Ik(pair, p, k) for p in pts])
+        single = np.array([integral_Ik(pair, p, k) for p in map(PhasePoint, xs, xis)])
         assert np.allclose(batch[:, k], single, rtol=1e-13)
 
 
@@ -223,7 +221,7 @@ def test_transfer_zero_covector_is_zero():
     names = pair.chart.names
     F = transfer_killing(pair, [parse("0", names), parse("0", names)])
     rng = np.random.default_rng(1)
-    for p in sample_phase_points(pair, 5, rng):
+    for p in map(PhasePoint, *sample_phase_points(pair, 5, rng)):
         assert F.at(p) == 0.0
 
 
@@ -251,7 +249,7 @@ def test_transfer_conserved_along_revolution_geodesics():
     names = pair.chart.names
     F = transfer_killing(pair, [parse("0", names), pair.gbar.entry(1, 1)])
     rng = np.random.default_rng(3)
-    for p0 in sample_phase_points(pair, 3, rng):
+    for p0 in map(PhasePoint, *sample_phase_points(pair, 3, rng)):
         traj = integrate_geodesic(pair.g, p0, 5.0, GeodesicOptions(rtol=1e-10, atol=1e-10))
         assert conservation_drift(F.value_batch(traj.xs, traj.xis)) <= 1e-6
 
@@ -266,10 +264,9 @@ def test_transfer_checks_covector_length():
 # involution and independence from the family differentials
 
 
-def family_at(pair, pts):
-    """(xs, xis, integrals_jacobian) at a list of phase points."""
-    xs = np.array([p.x for p in pts])
-    xis = np.array([p.xi for p in pts])
+def family_at(pair, phase):
+    """(xs, xis, integrals_jacobian) at the phase points (xs, xis)."""
+    xs, xis = phase
     return xs, xis, integrals_jacobian(pair, xs, xis)
 
 

@@ -141,7 +141,7 @@ def test_first_linear_integral_is_energy(battery_pairs):
         lc = battery_pairs[key]
         L1 = lc.linear_integrals()[0]
         rng = np.random.default_rng(5)
-        for p in sample_phase_points(lc.pair, 5, rng):
+        for p in map(PhasePoint, *sample_phase_points(lc.pair, 5, rng)):
             gxx = lc.pair.g.norm(p.x, p.xi) ** 2
             assert L1.at(p) == pytest.approx(gxx, rel=1e-12)
 
@@ -161,14 +161,12 @@ def test_linear_integrals_conserved_and_commuting(battery_pairs):
     lc = battery_pairs["m2n2"]
     fns = lc.linear_integrals()
     rng = np.random.default_rng(7)
-    starts = sample_phase_points(lc.pair, 4, rng)
+    xs, xis = sample_phase_points(lc.pair, 4, rng)
     opts = GeodesicOptions(rtol=1e-10, atol=1e-10)
-    for p in starts:
+    for p in map(PhasePoint, xs, xis):
         traj = integrate_geodesic(lc.pair.g, p, 5.0, opts)
         for L in fns:
             assert conservation_drift(L.value_batch(traj.xs, traj.xis)) <= 1e-6
-    xs = np.array([p.x for p in starts])
-    xis = np.array([p.xi for p in starts])
     jac = np.stack([L.grad_batch(xs, xis) for L in fns], axis=1)
     mat = involution_matrix(jac, lc.pair.g, xs, xis)
     assert np.max(mat) <= 1e-8
@@ -188,8 +186,7 @@ def test_decomposition_coefficients_structure(battery_pairs):
 def test_predicted_matches_integrals_on_battery(battery_pairs):
     for key, lc in battery_pairs.items():
         rng = np.random.default_rng(11)
-        pts = sample_phase_points(lc.pair, 10, rng)
-        for p in pts:
+        for p in map(PhasePoint, *sample_phase_points(lc.pair, 10, rng)):
             for k in range(lc.dim):
                 got = integral_Ik(lc.pair, p, k)
                 want = lc.predicted_integral(k, p)
@@ -207,7 +204,7 @@ def test_degenerate_all_singletons_alternating_signs(battery_pairs):
         m = lc.spec.block_count
         fns = lc.linear_integrals()
         rng = np.random.default_rng(13)
-        for p in sample_phase_points(lc.pair, 5, rng):
+        for p in map(PhasePoint, *sample_phase_points(lc.pair, 5, rng)):
             for k in range(lc.dim):
                 want = (-1.0) ** (n + k) * fns[m - k - 1].at(p)
                 assert integral_Ik(lc.pair, p, k) == pytest.approx(want, rel=1e-12)
@@ -240,7 +237,7 @@ def test_shift_large_approaches_first_metric(battery_pairs):
 def test_shifted_pairs_stay_equivalent(battery_pairs):
     lc = battery_pairs["m2n2"]
     rng = np.random.default_rng(23)
-    starts = sample_phase_points(lc.pair, 3, rng)
+    starts = map(PhasePoint, *sample_phase_points(lc.pair, 3, rng))
     opts = GeodesicOptions(rtol=1e-10, atol=1e-10)
     trajs = [integrate_geodesic(lc.pair.g, p, 5.0, opts) for p in starts]
     for c in (0.5, 1.0, 2.0):
