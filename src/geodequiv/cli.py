@@ -11,9 +11,9 @@ Subcommands
 Exit codes are a stable contract: 0 all checks passed, 1 a numerical
 check failed, 2 usage or configuration error.  Reports are deterministic
 for a fixed config and seed up to the "timestamp" field: per-point results
-are aggregated in point_id order no matter how the worker pool schedules
-them, and the JSON is emitted with sorted keys.  The environment variable
-GEODEQUIV_THREADS caps the worker pool.
+are aggregated in point_id order, and the JSON is emitted with sorted keys.
+`geodesic` runs its per-direction jobs on a worker pool; the environment
+variable GEODEQUIV_THREADS caps it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .geometry import (
     Chart,
     GeodesicOptions,
     MetricField,
-    PhasePoint,
     arc_length,
     check_phase_points,
     geodesic_coincidence,
@@ -213,7 +212,7 @@ def resolve_config_pair(source: str | dict) -> MetricPair:
 
 
 # ---------------------------------------------------------------------------
-# sampling and the worker pool
+# sampling and the worker pool of cmd_geodesic
 
 
 def sample_phase_points(
@@ -273,26 +272,21 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     brackets at seeded phase points, and the independence rank."""
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
-    starts = list(zip(*sample_phase_points(pair, cfg.trajectories, rng)))
     # the integrator's own energy self-check runs looser than the conservation
     # tolerance: near chart walls RK45 at 1e-10 legitimately accumulates ~1e-8
     # relative energy error, which the drift check judges, not the gate
     opts = GeodesicOptions(energy_tol=1e-7)
-
-    def one_trajectory(job):
-        pid, (x, xi) = job
-        traj = integrate_geodesic(pair.g, PhasePoint(x, xi), cfg.t_end, opts)
+    rows = []
+    for pid, (x, xi) in enumerate(zip(*sample_phase_points(pair, cfg.trajectories, rng))):
+        traj = integrate_geodesic(pair.g, x, xi, cfg.t_end, opts)
         drifts = conservation_drift(integrals_at(pair, traj.xs, traj.xis))
-        return {
+        rows.append({
             "point_id": pid,
             "drift": [float(d) for d in drifts],
             "energy_drift": float(traj.energy_drift),
             "left_domain": bool(traj.left_domain),
             "t_reached": float(traj.ts[-1]),
-        }
-
-    rows = _pmap(one_trajectory, list(enumerate(starts)))
-    rows.sort(key=lambda r: r["point_id"])
+        })
     drift_max = max(max(r["drift"]) for r in rows)
 
     xs, xis = sample_phase_points(pair, cfg.points, rng)
@@ -381,11 +375,11 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
     rem_max = max(r["remainder_rel"] for r in rows)
     cross_max = max(r["crosscheck"] for r in rows)
 
-    # conservation: integrate on the pool, then take the factory route once
+    # conservation: integrate every start, then take the factory route once
     # over every step-th sample of all trajectories
-    starts = list(zip(*sample_phase_points(pair, cfg.trajectories, rng)))
     opts = GeodesicOptions(energy_tol=1e-7)
-    trajs = _pmap(lambda s: integrate_geodesic(pair.g, PhasePoint(*s), cfg.t_end, opts), starts)
+    trajs = [integrate_geodesic(pair.g, x, xi, cfg.t_end, opts)
+             for x, xi in zip(*sample_phase_points(pair, cfg.trajectories, rng))]
     picks = [np.arange(0, len(t), max(1, len(t) // 50)) for t in trajs]
     fc = factory_integrals(pair, np.concatenate([t.xs[k] for t, k in zip(trajs, picks)]),
                            np.concatenate([t.xis[k] for t, k in zip(trajs, picks)]))
@@ -450,11 +444,9 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
 
     def one_direction(job):
         pid, (x, xi) = job
-        p0 = PhasePoint(x, xi)
-        tg = integrate_geodesic(pair.g, p0, cfg.t_end, opts)
-        xib = p0.xi / pair.gbar.norm(p0.x, p0.xi)
-        tb = integrate_geodesic(pair.gbar, PhasePoint(p0.x, xib), cfg.t_end, opts)
-        dist = geodesic_coincidence(pair.g, pair.gbar, p0, length=cfg.t_end)
+        tg = integrate_geodesic(pair.g, x, xi, cfg.t_end, opts)
+        tb = integrate_geodesic(pair.gbar, x, xi / pair.gbar.norm(x, xi), cfg.t_end, opts)
+        dist = geodesic_coincidence(pair.g, pair.gbar, x, xi, length=cfg.t_end)
         row = {
             "point_id": pid,
             "curve_distance": float(dist),

@@ -60,8 +60,8 @@ class DomainError(DslError):
 
 
 def _vx(v, k: int):
-    # Append k broadcast axes to a value so it multiplies gradient/hessian
-    # payloads elementwise.  Plain scalars broadcast as-is.
+    # Append k broadcast axes to a value so it multiplies gradient payloads
+    # elementwise.  Plain scalars broadcast as-is.
     if np.ndim(v) == 0:
         return v
     return np.reshape(v, np.shape(v) + (1,) * k)
@@ -541,13 +541,6 @@ def dual1_seeds(x: Sequence[float], nvars: int | None = None, offset: int = 0) -
     n = x.shape[-1]
     total = n if nvars is None else nvars
     return [Dual1.seed(x[..., i], offset + i, total) for i in range(n)]
-
-
-def eval_values(expr: Expression, names: Sequence[str], xs) -> np.ndarray:
-    """Vectorised plain-value evaluation at a batch of points, shape (N, n)."""
-    xs = np.asarray(xs, dtype=float)
-    out = expr.evaluate(eval_env(names, [xs[..., i] for i in range(len(names))]))
-    return np.broadcast_to(np.asarray(out, dtype=float), xs.shape[:-1]).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dsl, matops
 from .dsl import Dual1, d_sqrt
-from .geometry import MetricField, _batch_values
+from .geometry import MetricField
 from .integrals import MetricPair, integrals_at
 
 
@@ -341,8 +341,8 @@ def coeffs_from_closed_form(pair: MetricPair, x, xi) -> np.ndarray:
     xis = np.asarray(xi, dtype=float).reshape(-1, n)
     Ik = integrals_at(pair, xs, xis)
     a = a_scalar(pair, xs, xis)
-    det_g = np.linalg.det(_batch_values(pair.g, xs))
-    det_gb = np.linalg.det(_batch_values(pair.gbar, xs))
+    det_g = np.linalg.det(pair.g.values(xs))
+    det_gb = np.linalg.det(pair.gbar.values(xs))
     ng = pair.g.norm(xs, xis)
     sign = (-1.0) ** n
     b_desc = np.empty((len(xs), n))

@@ -115,30 +115,13 @@ class Chart:
         return out
 
 
-@dataclass
-class PhasePoint:
-    """Base point and tangent vector.  Zero tangents are rejected everywhere
-    downstream (the trajectorial diffeomorphism is undefined there), so they
-    are refused at construction time."""
-
-    x: np.ndarray
-    xi: np.ndarray
-
-    def __init__(self, x, xi):
-        self.x = np.asarray(x, dtype=float).copy()
-        self.xi = np.asarray(xi, dtype=float).copy()
-        if self.x.shape != self.xi.shape or self.x.ndim != 1:
-            raise ValueError("x and xi must be vectors of equal length")
-        check_phase_points(self.x, self.xi)
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
-
-
-def check_phase_points(xs: np.ndarray, xis: np.ndarray) -> None:
-    """Refuse phase points that are not finite or have a zero tangent; xs
-    and xis may carry leading batch axes."""
+def check_phase_points(xs, xis) -> None:
+    """Refuse phase points that are not base points paired with tangents of
+    the same shape, are not finite or have a zero tangent; xs and xis may
+    carry leading batch axes.  Zero tangents are refused because the
+    trajectorial diffeomorphism is undefined there."""
+    if np.shape(xs) != np.shape(xis) or np.ndim(xs) == 0:
+        raise ValueError("x and xi must be vectors of equal length")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(xis))):
         raise ValueError("phase point must be finite")
     if np.any(np.linalg.norm(xis, axis=-1) == 0.0):
@@ -191,10 +174,6 @@ class MetricField:
             i, j = j, i
         return self.upper[i][j - i]
 
-    def entry_grid(self) -> list[list[Expression]]:
-        n = self.dim
-        return [[self.entry(i, j) for j in range(n)] for i in range(n)]
-
     def eval_cells(self, cells: Sequence) -> np.ndarray:
         """Evaluate entries over scalar-like coordinate cells.  Both triangles
         share the same evaluated object, keeping symmetry exact."""
@@ -208,8 +187,14 @@ class MetricField:
                 out[i + k, i] = v
         return out
 
-    def values_at(self, x) -> np.ndarray:
-        return matops.values_matrix(self.eval_cells(list(np.asarray(x, dtype=float))))
+    def values(self, x) -> np.ndarray:
+        """Entry values at x of shape (N, n) or (n,): (N, n, n) values, or
+        (n, n) at a single point."""
+        x = np.asarray(x, dtype=float)
+        vals = matops.values_matrix(self.eval_cells(list(x.T)))
+        if vals.ndim <= x.ndim:  # all entries constant
+            vals = np.broadcast_to(vals, x.shape[:-1] + vals.shape)
+        return vals
 
     def values_and_grads(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Values and coordinate gradients of the entries.
@@ -234,7 +219,7 @@ class MetricField:
         """Cholesky spot check over the chart's sample box."""
         rng = np.random.default_rng(seed)
         for x in self.chart.box_points(samples, rng):
-            vals = self.values_at(x)
+            vals = self.values(x)
             try:
                 np.linalg.cholesky(vals)
             except np.linalg.LinAlgError:
@@ -246,7 +231,7 @@ class MetricField:
         matches `xi @ g @ xi` at each point bit for bit."""
         x = np.asarray(x, dtype=float)
         n = self.dim
-        g = _batch_values(self, x.reshape(-1, n))
+        g = self.values(x.reshape(-1, n))
         v = np.asarray(xi, dtype=float).reshape(-1, 1, n)
         norms = np.sqrt((v @ g @ v.swapaxes(1, 2))[:, 0, 0])
         return norms.reshape(x.shape[:-1]) if x.ndim > 1 else float(norms[0])
@@ -283,10 +268,21 @@ def _christoffel_from(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return 0.5 * sol.reshape(S.shape)
 
 
-def geodesic_rhs(metric: MetricField, x, xi) -> tuple[np.ndarray, np.ndarray]:
-    gamma = christoffel(metric, x)
-    acc = -np.einsum("kij,i,j->k", gamma, xi, xi)
-    return np.asarray(xi, dtype=float), acc
+def geodesic_rhs(t: float, y: np.ndarray, metric: MetricField) -> np.ndarray:
+    """The geodesic flow on the state y = (x, xi): (xi, -Gamma(x)(xi, xi))."""
+    n = metric.dim
+    xi = y[n:]
+    gamma = christoffel(metric, y[:n])
+    return np.concatenate([xi, -np.einsum("kij,i,j->k", gamma, xi, xi)])
+
+
+def _chart_exit(t: float, y: np.ndarray, metric: MetricField) -> float:
+    """Integration event: the chart's domain margin at the state's base point."""
+    return metric.chart.domain_margin(y[:metric.dim])
+
+
+_chart_exit.terminal = True
+_chart_exit.direction = -1
 
 
 @dataclass
@@ -295,7 +291,6 @@ class GeodesicOptions:
     atol: float = 1e-10
     energy_tol: float = 1e-8
     samples: int = 201
-    max_step: float = np.inf
 
 
 @dataclass
@@ -326,67 +321,50 @@ class Trajectory:
     def __len__(self) -> int:
         return self.ts.shape[0]
 
-    def point(self, k: int) -> PhasePoint:
-        return PhasePoint(self.xs[k], self.xis[k])
-
     def energies(self) -> np.ndarray:
-        g = _batch_values(self.metric, self.xs)
-        return np.einsum("kij,ki,kj->k", g, self.xis, self.xis)
+        return _squared_speeds(self, self.metric)
 
 
-def _batch_values(metric: MetricField, xs: np.ndarray) -> np.ndarray:
-    cells = metric.eval_cells([xs[:, i] for i in range(metric.dim)])
-    vals = matops.values_matrix(cells)
-    if vals.ndim == 2:  # all entries constant
-        vals = np.broadcast_to(vals, (xs.shape[0],) + vals.shape)
-    return vals
+def _squared_speeds(traj: Trajectory, metric: MetricField) -> np.ndarray:
+    """metric(xi, xi) at every sample of traj."""
+    g = metric.values(traj.xs)
+    return np.einsum("kij,ki,kj->k", g, traj.xis, traj.xis)
 
 
 def integrate_geodesic(
     metric: MetricField,
-    p0: PhasePoint,
+    x,
+    xi,
     t_end: float,
     opts: GeodesicOptions | None = None,
 ) -> Trajectory:
-    """Integrate the geodesic flow from p0 with an embedded RK 5(4) scheme.
+    """Integrate the geodesic flow from the phase point (x, xi) with an
+    embedded RK 5(4) scheme.
 
     Leaving the chart domain is a soft stop: the trajectory is truncated at
     the crossing and flagged.  A relative energy drift above opts.energy_tol
     raises EnergyDriftError.
     """
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    check_phase_points(x, xi)
     opts = opts or GeodesicOptions()
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     chart = metric.chart
-    if not chart.contains(p0.x):
-        raise ChartDomainError(f"initial point {p0.x.tolist()} is outside the chart domain")
+    if not chart.contains(x):
+        raise ChartDomainError(f"initial point {x.tolist()} is outside the chart domain")
     n = metric.dim
-
-    def rhs(t, y):
-        x, xi = y[:n], y[n:]
-        vals, grads = metric.values_and_grads(x)
-        gamma = _christoffel_from(vals, grads)
-        return np.concatenate([xi, -np.einsum("kij,i,j->k", gamma, xi, xi)])
-
-    events = None
-    if chart.domain is not None:
-        def exit_event(t, y):
-            return chart.domain_margin(y[:n])
-
-        exit_event.terminal = True
-        exit_event.direction = -1
-        events = [exit_event]
-
     sol = solve_ivp(
-        rhs,
+        geodesic_rhs,
         (0.0, t_end),
-        np.concatenate([p0.x, p0.xi]),
+        np.concatenate([x, xi]),
         method="RK45",
         rtol=opts.rtol,
         atol=opts.atol,
-        events=events,
-        max_step=opts.max_step,
+        events=None if chart.domain is None else [_chart_exit],
         dense_output=True,
+        args=(metric,),
     )
     if sol.status == -1:
         raise IntegrationError(f"geodesic integration failed: {sol.message}")
@@ -422,8 +400,7 @@ def arclength_reparam(
     """Resample the base curve at `count` points equally spaced in the arc
     length measured by `metric` (not necessarily the generating one).  With
     `length` given, only the initial piece of that arc length is kept."""
-    g = _batch_values(metric, traj.xs)
-    speed = np.sqrt(np.einsum("kij,ki,kj->k", g, traj.xis, traj.xis))
+    speed = np.sqrt(_squared_speeds(traj, metric))
     s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(traj.ts))])
     total = s[-1]
     if total <= 0:
@@ -438,8 +415,7 @@ def arclength_reparam(
 
 
 def arc_length(traj: Trajectory, metric: MetricField) -> float:
-    g = _batch_values(metric, traj.xs)
-    speed = np.sqrt(np.einsum("kij,ki,kj->k", g, traj.xis, traj.xis))
+    speed = np.sqrt(_squared_speeds(traj, metric))
     return float(np.sum(0.5 * (speed[1:] + speed[:-1]) * np.diff(traj.ts)))
 
 
@@ -504,36 +480,30 @@ def symmetric_curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     return max(curve_distance(c1, c2), curve_distance(c2, c1))
 
 
-def geodesic_coincidence(
-    g: MetricField,
-    gbar: MetricField,
-    p0: PhasePoint,
-    length: float = 5.0,
-    count: int = 2048,
-    opts: GeodesicOptions | None = None,
-) -> float:
+def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float = 5.0) -> float:
     """Symmetrized distance between the g- and gbar-geodesics launched from
-    the same base point and direction, compared as unparameterized curves
-    over the initial piece of g-arc-length `length` (shorter when either
-    trajectory leaves the chart first).
+    the phase point (x, xi), compared as unparameterized curves over the
+    initial piece of g-arc-length `length` (shorter when either trajectory
+    leaves the chart first).
 
-    Near zero exactly when the two metrics share their geodesics through p0.
-    The defaults sample densely enough that the piecewise-linear comparison
-    resolves distances down to about 1e-6 over length 5, including near
-    chart walls where the coordinate curvature of the curves grows; the
-    integrator tolerance is relaxed accordingly, since curve positions only
-    need to be accurate well below the comparison's discretization floor.
+    Near zero exactly when the two metrics share their geodesics through
+    (x, xi).  The curves are compared at 2048 points each, which resolves
+    distances down to about 1e-6 over length 5, including near chart walls
+    where the coordinate curvature of the curves grows; the integrator
+    tolerance is relaxed accordingly, since curve positions only need to be
+    accurate well below the comparison's discretization floor.
     """
-    if opts is None:
-        opts = GeodesicOptions(rtol=1e-8, atol=1e-8, samples=3001, energy_tol=1e-5)
-    x0 = p0.x
-    v = p0.xi / g.norm(x0, p0.xi)
-    tg = integrate_geodesic(g, PhasePoint(x0, v), float(length), opts)
-    vb = p0.xi / gbar.norm(x0, p0.xi)
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    check_phase_points(x, xi)
+    opts = GeodesicOptions(rtol=1e-8, atol=1e-8, samples=3001, energy_tol=1e-5)
+    v = xi / g.norm(x, xi)
+    tg = integrate_geodesic(g, x, v, float(length), opts)
+    vb = xi / gbar.norm(x, xi)
     # unit gbar-speed does not cover g-arc-length at unit rate; extend the
     # integration window until the g-length target is reached or the chart ends
     t_end = float(length)
-    tb = integrate_geodesic(gbar, PhasePoint(x0, vb), t_end, opts)
+    tb = integrate_geodesic(gbar, x, vb, t_end, opts)
     covered = None  # g-arc-length of the current tb, once measured
     for _ in range(8):
         if tb.left_domain:
@@ -542,13 +512,13 @@ def geodesic_coincidence(
         if covered >= length:
             break
         t_end *= max(1.5, 1.2 * float(length) / max(covered, 1e-12))
-        tb = integrate_geodesic(gbar, PhasePoint(x0, vb), t_end, opts)
+        tb = integrate_geodesic(gbar, x, vb, t_end, opts)
         covered = None
     if covered is None:
         covered = arc_length(tb, g)
     window = min(float(length), arc_length(tg, g), covered)
-    c1 = arclength_reparam(tg, g, count, length=window)
-    c2 = arclength_reparam(tb, g, count, length=window)
+    c1 = arclength_reparam(tg, g, 2048, length=window)
+    c2 = arclength_reparam(tb, g, 2048, length=window)
     return symmetric_curve_distance(c1, c2)
 
 

@@ -11,37 +11,13 @@ of H reads {H, F} = 0; that statement is insensitive to the overall sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import dsl
 from .dsl import Dual1
-from .geometry import MetricField, PhasePoint
-
-
-@dataclass
-class CanonicalPoint:
-    x: np.ndarray
-    p: np.ndarray
-
-    def __init__(self, x, p):
-        self.x = np.asarray(x, dtype=float).copy()
-        self.p = np.asarray(p, dtype=float).copy()
-        if self.x.shape != self.p.shape or self.x.ndim != 1:
-            raise ValueError("x and p must be vectors of equal length")
-
-
-def legendre(metric: MetricField, p: PhasePoint) -> CanonicalPoint:
-    """Tangent to cotangent: p_i = g_{ij} xi^j."""
-    g = metric.values_at(p.x)
-    return CanonicalPoint(p.x, g @ p.xi)
-
-
-def legendre_inverse(metric: MetricField, cp: CanonicalPoint) -> PhasePoint:
-    g = metric.values_at(cp.x)
-    return PhasePoint(cp.x, np.linalg.solve(g, cp.p))
+from .geometry import MetricField
 
 
 class PhaseFunction:
@@ -53,15 +29,9 @@ class PhaseFunction:
     evaluation over N points, and gradient extraction.
     """
 
-    def __init__(self, fn: Callable, dim: int, name: str = ""):
+    def __init__(self, fn: Callable, dim: int):
         self.fn = fn
         self.dim = dim
-        self.name = name or "phase-function"
-
-    def value(self, x, xi) -> float:
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return float(dsl.scalar_value(self.fn(list(x), list(xi))))
 
     def value_batch(self, xs, xis) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -69,9 +39,6 @@ class PhaseFunction:
         n = self.dim
         out = self.fn([xs[:, i] for i in range(n)], [xis[:, i] for i in range(n)])
         return np.broadcast_to(np.asarray(dsl.scalar_value(out), dtype=float), (xs.shape[0],)).copy()
-
-    def at(self, p: PhasePoint) -> float:
-        return self.value(p.x, p.xi)
 
     def grad_batch(self, xs, xis) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -86,37 +53,14 @@ class PhaseFunction:
         g = np.asarray(out.grad)
         return np.broadcast_to(g, (N, 2 * n)).copy()
 
-    def _combine(self, other, op, sym):
-        if isinstance(other, PhaseFunction):
-            if other.dim != self.dim:
-                raise ValueError("phase function dimensions differ")
-            fn = lambda x, xi: op(self.fn(x, xi), other.fn(x, xi))
-            name = f"({self.name} {sym} {other.name})"
-        else:
-            c = float(other)
-            fn = lambda x, xi: op(self.fn(x, xi), c)
-            name = f"({self.name} {sym} {c})"
-        return PhaseFunction(fn, self.dim, name)
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b, "+")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b, "-")
-
-    def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b, "*")
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PhaseFunction(lambda x, xi: -self.fn(x, xi), self.dim, f"(-{self.name})")
+    def __mul__(self, other: "PhaseFunction") -> "PhaseFunction":
+        if other.dim != self.dim:
+            raise ValueError("phase function dimensions differ")
+        return PhaseFunction(lambda x, xi: self.fn(x, xi) * other.fn(x, xi), self.dim)
 
 
 def coordinate_function(i: int, dim: int) -> PhaseFunction:
-    return PhaseFunction(lambda x, xi: x[i], dim, f"x{i+1}")
+    return PhaseFunction(lambda x, xi: x[i], dim)
 
 
 def momentum_function(metric: MetricField, i: int) -> PhaseFunction:
@@ -130,7 +74,7 @@ def momentum_function(metric: MetricField, i: int) -> PhaseFunction:
             s = s + cells[i, j] * xi[j]
         return s
 
-    return PhaseFunction(fn, n, f"p{i+1}")
+    return PhaseFunction(fn, n)
 
 
 def hamiltonian(metric: MetricField) -> PhaseFunction:
@@ -146,7 +90,7 @@ def hamiltonian(metric: MetricField) -> PhaseFunction:
                 s = term if s is None else s + term
         return 0.5 * s
 
-    return PhaseFunction(fn, n, "H")
+    return PhaseFunction(fn, n)
 
 
 # ---------------------------------------------------------------------------

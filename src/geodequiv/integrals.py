@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dsl, matops
 from .dsl import Expression, d_exp
-from .geometry import MetricField, PhasePoint
+from .geometry import MetricField
 from .hamilton import PhaseFunction, bracket, canonical_gradients
 
 
@@ -113,9 +113,7 @@ def _char_coeffs_cells(G: np.ndarray) -> list:
 
 def g_operator(pair: MetricPair, x) -> np.ndarray:
     """G = g^{-1} gbar as a float matrix at the point x."""
-    g = pair.g.values_at(x)
-    gbar = pair.gbar.values_at(x)
-    return np.linalg.solve(g, gbar)
+    return np.linalg.solve(pair.g.values(x), pair.gbar.values(x))
 
 
 def s_matrix(pair: MetricPair, x, k: int) -> np.ndarray:
@@ -166,18 +164,10 @@ def _pipeline(pair: MetricPair, x_cells: list, xi_cells: list, ks: Sequence[int]
     return [d_exp(logratio * ((k + 2.0) / (n + 1.0))) * quads[k] for k in ks]
 
 
-def integral_Ik(pair: MetricPair, p: PhasePoint, k: int) -> float:
-    if not 0 <= k <= pair.dim - 1:
-        raise ValueError("k must lie in 0..n-1")
-    out = _pipeline(pair, list(p.x), list(p.xi), [k])[0]
-    return float(dsl.scalar_value(out))
-
-
 def integral_phase_function(pair: MetricPair, k: int) -> PhaseFunction:
     if not 0 <= k <= pair.dim - 1:
         raise ValueError("k must lie in 0..n-1")
-    fn = lambda x, xi: _pipeline(pair, x, xi, [k])[0]
-    return PhaseFunction(fn, pair.dim, f"I{k}[{pair.pair_id}]")
+    return PhaseFunction(lambda x, xi: _pipeline(pair, x, xi, [k])[0], pair.dim)
 
 
 def integrals_at(pair: MetricPair, xs, xis) -> np.ndarray:
@@ -201,11 +191,13 @@ def integrals_jacobian(pair: MetricPair, xs, xis) -> np.ndarray:
     return np.stack([np.broadcast_to(o.grad, (len(xs), 2 * n)) for o in outs], axis=1)
 
 
-def painleve_I0(pair: MetricPair, p: PhasePoint) -> float:
-    """(det g / det gbar)^{2/(n+1)} gbar(xi, xi), the classical two-dimensional
-    integral in its n-dimensional form.  Equals (-1)^n integral_Ik(..., 0)."""
-    gb, _, logratio = _weight_data(pair, list(p.x))
-    out = d_exp(logratio * (2.0 / (pair.dim + 1.0))) * matops.quadratic_form(gb, list(p.xi))
+def painleve_I0(pair: MetricPair, x, xi) -> float:
+    """(det g / det gbar)^{2/(n+1)} gbar(xi, xi) at the phase point (x, xi),
+    the classical two-dimensional integral in its n-dimensional form.
+    Equals (-1)^n I_0."""
+    gb, _, logratio = _weight_data(pair, list(np.asarray(x, dtype=float)))
+    xi = list(np.asarray(xi, dtype=float))
+    out = d_exp(logratio * (2.0 / (pair.dim + 1.0))) * matops.quadratic_form(gb, xi)
     return float(dsl.scalar_value(out))
 
 
@@ -215,8 +207,8 @@ def painleve_I0(pair: MetricPair, p: PhasePoint) -> float:
 
 def eigen_profile(pair: MetricPair, x, tol: float = 1e-8) -> EigenProfile:
     """Eigenvalues of G = g^{-1} gbar, clustered at relative tolerance."""
-    g = pair.g.values_at(x)
-    gbar = pair.gbar.values_at(x)
+    g = pair.g.values(x)
+    gbar = pair.gbar.values(x)
     L = np.linalg.cholesky(g)
     Y = np.linalg.solve(L, gbar)
     sym = np.linalg.solve(L, Y.T).T  # L^{-1} gbar L^{-T}, symmetric similarity
@@ -251,7 +243,7 @@ def transfer_killing(pair: MetricPair, covector: Sequence[Expression]) -> PhaseF
             s = s + covector[i].evaluate(env) * xi[i]
         return d_exp(logratio * (1.0 / (n + 1.0))) * s
 
-    return PhaseFunction(fn, n, f"transfer[{pair.pair_id}]")
+    return PhaseFunction(fn, n)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import dsl
 from .dsl import Add, Div, Expression, Lit, Mul, Sub, eval_env
-from .geometry import Chart, MetricField, PhasePoint
+from .geometry import Chart, MetricField
 from .hamilton import PhaseFunction
 from .integrals import MetricPair
 
@@ -64,17 +64,6 @@ def pi_values(phis: Sequence):
                 acc = acc * (phis[j] - phis[i])
         out.append(acc)
     return out
-
-
-def phi_from_rho(rho: Sequence[float]) -> np.ndarray:
-    """Invert rho_i = 1/(phi_1...phi_m phi_i): the phi's are recovered as
-    (rho_1...rho_m)^(1/(m+1)) / rho_i."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("rho values must be positive")
-    m = rho.shape[0]
-    scale = float(np.prod(rho)) ** (1.0 / (m + 1))
-    return scale / rho
 
 
 @dataclass(frozen=True)
@@ -199,7 +188,7 @@ class LCPair:
                     total = total + sigma * (pis[i] * self._block_quad(i, env, xi_cells))
                 return total
 
-            return PhaseFunction(fn, self.dim, name=f"L{k}[{self.pair.pair_id}]")
+            return PhaseFunction(fn, self.dim)
 
         return [make(k) for k in range(1, m + 1)]
 
@@ -224,15 +213,17 @@ class LCPair:
         C_k = base ** ((k + 2.0) / (n + 1.0))
         return C_k, [float(b) for b in B]
 
-    def predicted_integral(self, k: int, p: PhasePoint) -> float:
-        """The quotient-family integral I_k written in the L basis:
+    def predicted_integral(self, k: int, x, xi) -> float:
+        """The quotient-family integral I_k at the phase point (x, xi),
+        written in the L basis:
 
         I_k = (-1)^(n+k) C_k sum_{j=0}^{m-1} B_{k-j} L_{m-j},
 
         with B indices outside [0, n-m] read as zero."""
         n, m = self.dim, self.spec.block_count
-        C_k, B = self.decompose(k, p.x)
-        Ls = [L.at(p) for L in self.linear_integrals()]
+        C_k, B = self.decompose(k, x)
+        xs, xis = np.asarray(x, dtype=float)[None], np.asarray(xi, dtype=float)[None]
+        Ls = [float(L.value_batch(xs, xis)[0]) for L in self.linear_integrals()]
         total = 0.0
         for j in range(m):
             idx = k - j
@@ -245,22 +236,29 @@ class LCPair:
 
         At c = 0 this is gbar itself; as c grows, c^(m+1) times it approaches g.
         Positive definite for any c > -phi_1."""
-        shifted = [
-            Add(e, Lit(float(c))) if c != 0.0 else e for e in self.phi_exprs
-        ]
-        P = _prod_expr(shifted)
-        n = self.dim
-        zero = Lit(0.0)
-        grid: list[list[Expression]] = [[zero] * n for _ in range(n)]
-        for i, (start, size) in enumerate(self.spec.spans()):
-            pi_expr = _pi_expr(self.phi_exprs, i)
-            denom = Mul(P, shifted[i])
-            for a in range(size):
-                for b in range(a, size):
-                    e = Div(_mul_expr(pi_expr, self.block_grids[i][a, b]), denom)
-                    grid[start + a][start + b] = e
-        upper = [[grid[i][j] for j in range(i, n)] for i in range(n)]
-        return MetricField(self.chart, upper)
+        return _shifted_metric(self.chart, self.spec.spans(), self.phi_exprs, self.block_grids, c)
+
+
+def _block_metric(chart: Chart, spans, phi_exprs, block_grids, denoms=None) -> MetricField:
+    """The block-diagonal metric with blocks Pi_i A_i, each divided by
+    denoms[i] when given."""
+    n = chart.dim
+    zero = Lit(0.0)
+    grid: list[list[Expression]] = [[zero] * n for _ in range(n)]
+    for i, (start, size) in enumerate(spans):
+        pi_expr = _pi_expr(phi_exprs, i)
+        for a in range(size):
+            for b in range(a, size):
+                e = _mul_expr(pi_expr, block_grids[i][a, b])
+                grid[start + a][start + b] = e if denoms is None else Div(e, denoms[i])
+    return MetricField(chart, [[grid[i][j] for j in range(i, n)] for i in range(n)])
+
+
+def _shifted_metric(chart: Chart, spans, phi_exprs, block_grids, c: float) -> MetricField:
+    """sum_i Pi_i A_i / ((phi_i + c) prod_j (phi_j + c)); gbar at c = 0."""
+    shifted = [Add(e, Lit(float(c))) if c != 0.0 else e for e in phi_exprs]
+    P = _prod_expr(shifted)
+    return _block_metric(chart, spans, phi_exprs, block_grids, [Mul(P, e) for e in shifted])
 
 
 def _pi_expr(phi_exprs: Sequence[Expression], i: int) -> Expression:
@@ -273,16 +271,10 @@ def _pi_expr(phi_exprs: Sequence[Expression], i: int) -> Expression:
     return _prod_expr(factors)
 
 
-def build_pair(
-    spec: LCSpec,
-    pair_id: str = "lc",
-    check: bool = True,
-    samples: int = 32,
-    seed: int = 0,
-) -> LCPair:
+def build_pair(spec: LCSpec, pair_id: str = "lc") -> LCPair:
     """Parse a spec into a metric pair, validating block shapes, the phi
-    ordering and positive definiteness on sampled points."""
-    n, m = spec.dim, spec.block_count
+    ordering and positive definiteness on 32 sampled points."""
+    n = spec.dim
     names = tuple(f"x{i+1}" for i in range(n))
     box = spec.box if spec.box is not None else tuple((-1.0, 1.0) for _ in range(n))
     chart = Chart(names, domain=None, sample_box=box)
@@ -316,32 +308,18 @@ def build_pair(
                 grid[b, a] = e
         block_grids.append(grid)
 
-    P = _prod_expr(list(phi_exprs))
-    zero = Lit(0.0)
-    g_grid: list[list[Expression]] = [[zero] * n for _ in range(n)]
-    gb_grid: list[list[Expression]] = [[zero] * n for _ in range(n)]
-    for i, (start, size) in enumerate(spans):
-        pi_e = _pi_expr(phi_exprs, i)
-        denom = Mul(P, phi_exprs[i])
-        for a in range(size):
-            for b in range(a, size):
-                base = _mul_expr(pi_e, block_grids[i][a, b])
-                g_grid[start + a][start + b] = base
-                gb_grid[start + a][start + b] = Div(base, denom)
-    g = MetricField(chart, [[g_grid[i][j] for j in range(i, n)] for i in range(n)])
-    gbar = MetricField(chart, [[gb_grid[i][j] for j in range(i, n)] for i in range(n)])
+    g = _block_metric(chart, spans, phi_exprs, block_grids)
+    gbar = _shifted_metric(chart, spans, phi_exprs, block_grids, 0.0)
     pair = MetricPair(g, gbar, pair_id=pair_id)
     built = LCPair(spec, chart, tuple(phi_exprs), tuple(block_grids), pair)
 
-    if check:
-        rng = np.random.default_rng(seed)
-        for x in chart.box_points(samples, rng):
-            phis = [float(dsl.scalar_value(v)) for v in built.phi_values(list(x))]
-            if phis[0] <= 0.0 or any(hi <= lo for lo, hi in zip(phis, phis[1:])):
-                raise ValueError(
-                    f"phi values must be positive and strictly increasing; got {phis} at {x.tolist()}"
-                )
-        pair.check_positive_definite(samples=samples, seed=seed)
+    for x in chart.box_points(32, np.random.default_rng(0)):
+        phis = [float(dsl.scalar_value(v)) for v in built.phi_values(list(x))]
+        if phis[0] <= 0.0 or any(hi <= lo for lo, hi in zip(phis, phis[1:])):
+            raise ValueError(
+                f"phi values must be positive and strictly increasing; got {phis} at {x.tolist()}"
+            )
+    pair.check_positive_definite()
     return built
 
 

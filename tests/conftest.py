@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, settings
 
 from geodequiv import (
     GeodesicOptions,
-    PhasePoint,
     battery,
     build_pair,
     integrate_geodesic,
@@ -62,8 +61,8 @@ def geodesic_sets(equiv_pairs):
     out = {}
     for name, pair in equiv_pairs.items():
         rng = np.random.default_rng(GEODESIC_SEED)
-        starts = map(PhasePoint, *sample_phase_points(pair, 20, rng))
-        out[name] = [integrate_geodesic(pair.g, p, T_END, opts) for p in starts]
+        xs, xis = sample_phase_points(pair, 20, rng)
+        out[name] = [integrate_geodesic(pair.g, x, xi, T_END, opts) for x, xi in zip(xs, xis)]
     return out
 
 

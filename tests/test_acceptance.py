@@ -17,13 +17,11 @@ import pytest
 from geodequiv import (
     EllipsoidSpec,
     GeodesicOptions,
-    PhasePoint,
     ambient_pullbacks,
     eigen_profile,
     ellipsoid_pair,
     geodesic_coincidence,
     independence_rank,
-    integral_Ik,
     integrals_at,
     integrals_jacobian,
     integrate_geodesic,
@@ -78,8 +76,8 @@ def test_03_top_integral_is_minus_energy(equiv_pairs, phase_sets):
         pair = equiv_pairs[name]
         xs, xis = phase_sets[name]
         vals = integrals_at(pair, xs, xis)
-        for p, row in zip(map(PhasePoint, xs, xis), vals):
-            energy = float(p.xi @ pair.g.values_at(p.x) @ p.xi)
+        for x, xi, row in zip(xs, xis, vals):
+            energy = float(xi @ pair.g.values(x) @ xi)
             rel = abs(row[-1] + energy) / max(abs(energy), 1e-12)
             worst = max(worst, rel)
     ok = worst <= 1e-10
@@ -156,13 +154,13 @@ def test_07_geodesics_coincide_as_unparameterized_curves(equiv_pairs):
     for name in EQUIV_PAIR_NAMES:
         pair = equiv_pairs[name]
         rng = np.random.default_rng(COINCIDENCE_SEED)
-        for p in map(PhasePoint, *sample_phase_points(pair, 20, rng)):
-            worst = max(worst, geodesic_coincidence(pair.g, pair.gbar, p))
+        for x, xi in zip(*sample_phase_points(pair, 20, rng)):
+            worst = max(worst, geodesic_coincidence(pair.g, pair.gbar, x, xi))
     broken = resolve_pair("falsify:random-conformal")
     rng = np.random.default_rng(COINCIDENCE_SEED)
     broken_min = min(
-        geodesic_coincidence(broken.g, broken.gbar, p)
-        for p in map(PhasePoint, *sample_phase_points(broken, 5, rng))
+        geodesic_coincidence(broken.g, broken.gbar, x, xi)
+        for x, xi in zip(*sample_phase_points(broken, 5, rng))
     )
     ok = worst <= 1e-5 and broken_min > 1e-2
     report_line(ok, "geodesic-coincidence",
@@ -178,8 +176,8 @@ def test_08_ellipsoid_chart_matches_ambient_pullbacks():
     worst = 0.0
     for x in pair.chart.box_points(100, rng):
         g_oracle, gbar_oracle = ambient_pullbacks(spec, x)
-        for got, want in ((pair.g.values_at(x), g_oracle),
-                          (pair.gbar.values_at(x), gbar_oracle)):
+        for got, want in ((pair.g.values(x), g_oracle),
+                          (pair.gbar.values(x), gbar_oracle)):
             err = np.abs(got - want) / np.maximum(np.abs(want), 1e-4)
             worst = max(worst, float(np.max(err)))
     ok = worst <= 1e-8
@@ -192,11 +190,12 @@ def test_09_integrals_decompose_over_linear_family(battery_pairs):
     for key, lc in battery_pairs.items():
         pair = lc.pair
         rng = np.random.default_rng(DECOMP_SEED)
-        pts = list(map(PhasePoint, *sample_phase_points(pair, 100, rng)))
+        xs, xis = sample_phase_points(pair, 100, rng)
+        Iks = integrals_at(pair, xs, xis)
         for k in range(pair.dim):
-            for p in pts:
-                pred = lc.predicted_integral(k, p)
-                act = integral_Ik(pair, p, k)
+            for x, xi, Ik in zip(xs, xis, Iks):
+                pred = lc.predicted_integral(k, x, xi)
+                act = Ik[k]
                 worst = max(worst, abs(pred - act) / max(abs(act), 1e-2))
 
     # fully degenerate pairs: each I_k collapses onto a single linear integral,
@@ -207,10 +206,11 @@ def test_09_integrals_decompose_over_linear_family(battery_pairs):
         pair, n = lc.pair, lc.pair.dim
         Ls = lc.linear_integrals()
         rng = np.random.default_rng(DECOMP_SEED)
-        for p in map(PhasePoint, *sample_phase_points(pair, 100, rng)):
-            for k in range(n):
-                want = (-1.0) ** (n + k) * Ls[n - k - 1].at(p)
-                got = integral_Ik(pair, p, k)
+        xs, xis = sample_phase_points(pair, 100, rng)
+        Iks = integrals_at(pair, xs, xis)
+        for k in range(n):
+            wants = (-1.0) ** (n + k) * Ls[n - k - 1].value_batch(xs, xis)
+            for want, got in zip(wants, Iks[:, k]):
                 worst_deg = max(worst_deg, abs(got - want) / max(abs(want), 1e-12))
 
     ok = worst <= 1e-9 and worst_deg <= 1e-12
@@ -231,8 +231,8 @@ def test_10_first_integral_discriminates_in_2d(equiv_pairs, geodesic_sets):
     rng = np.random.default_rng(101)
     opts = GeodesicOptions(rtol=1e-10, atol=1e-10, energy_tol=1e-7)
     broken_max = 0.0
-    for p in map(PhasePoint, *sample_phase_points(broken, 10, rng)):
-        traj = integrate_geodesic(broken.g, p, 5.0, opts)
+    for x, xi in zip(*sample_phase_points(broken, 10, rng)):
+        traj = integrate_geodesic(broken.g, x, xi, 5.0, opts)
         broken_max = max(broken_max, float(family_drift(broken, traj)[0]))
 
     ok = worst_equiv <= 1e-6 and broken_max > 1e-2

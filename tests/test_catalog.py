@@ -24,7 +24,7 @@ from geodequiv.catalog import (
     sphere_pair,
 )
 from geodequiv.cli import sample_phase_points
-from geodequiv.geometry import GeodesicOptions, PhasePoint, integrate_geodesic
+from geodequiv.geometry import GeodesicOptions, integrate_geodesic
 from geodequiv.hamilton import conservation_drift
 from geodequiv.integrals import eigen_profile, integral_phase_function
 
@@ -91,8 +91,8 @@ def test_metric_entries_match_ambient_pullbacks():
     for cells in sample_cells(spec, 20, seed=2):
         nu = cells[1:]
         g_o, gb_o = ambient_pullbacks(spec, nu)
-        g_c = pair.g.values_at(nu)
-        gb_c = pair.gbar.values_at(nu)
+        g_c = pair.g.values(nu)
+        gb_c = pair.gbar.values(nu)
         assert np.allclose(g_c, g_o, rtol=1e-8, atol=1e-12)
         assert np.allclose(gb_c, gb_o, rtol=1e-8, atol=1e-12)
 
@@ -103,8 +103,8 @@ def test_metric_entries_match_ambient_pullbacks_four_axes():
     for cells in sample_cells(spec, 10, seed=3):
         nu = cells[1:]
         g_o, gb_o = ambient_pullbacks(spec, nu)
-        assert np.allclose(pair.g.values_at(nu), g_o, rtol=1e-8, atol=1e-12)
-        assert np.allclose(pair.gbar.values_at(nu), gb_o, rtol=1e-8, atol=1e-12)
+        assert np.allclose(pair.g.values(nu), g_o, rtol=1e-8, atol=1e-12)
+        assert np.allclose(pair.gbar.values(nu), gb_o, rtol=1e-8, atol=1e-12)
 
 
 def test_transfer_eigenvalues_are_fully_distinct():
@@ -127,7 +127,7 @@ def test_transfer_eigenvalues_are_fully_distinct():
 def test_euclidean_pair_dimensions():
     pair = euclidean_pair(3)
     assert pair.dim == 3
-    assert np.array_equal(pair.g.values_at([0.1, 0.2, 0.3]), np.eye(3))
+    assert np.array_equal(pair.g.values([0.1, 0.2, 0.3]), np.eye(3))
 
 
 def test_sphere_pair_has_domain_guard():
@@ -144,8 +144,8 @@ def test_sphere_pair_has_domain_guard():
 def test_amplitude_zero_is_a_continuity_control():
     pair = falsification_pair("perturbed-lc", amplitude=0.0)
     rng = np.random.default_rng(5)
-    p0 = PhasePoint(*(v[0] for v in sample_phase_points(pair, 1, rng)))
-    traj = integrate_geodesic(pair.g, p0, 5.0, GeodesicOptions(rtol=1e-10, atol=1e-10))
+    xs, xis = sample_phase_points(pair, 1, rng)
+    traj = integrate_geodesic(pair.g, xs[0], xis[0], 5.0, GeodesicOptions(rtol=1e-10, atol=1e-10))
     F = integral_phase_function(pair, 0)
     assert conservation_drift(F.value_batch(traj.xs, traj.xis)) <= 1e-6
 
@@ -153,7 +153,7 @@ def test_amplitude_zero_is_a_continuity_control():
 def test_conformal_amplitude_zero_is_identity_pair():
     pair = falsification_pair("random-conformal", amplitude=0.0)
     x = [0.3, -0.4]
-    assert np.allclose(pair.g.values_at(x), pair.gbar.values_at(x), atol=1e-15)
+    assert np.allclose(pair.g.values(x), pair.gbar.values(x), atol=1e-15)
 
 
 def test_default_amplitudes():

@@ -1,5 +1,6 @@
 """Command line contract: exit codes, report determinism, config merging, the
-inline pair form, the normal-form build round trip, and the worker-pool cap.
+inline pair form, the normal-form build round trip, and the worker-pool cap
+of geodesic.
 
 All invocations go through main(argv) in-process; stdout is captured per call.
 """
@@ -20,8 +21,6 @@ from geodequiv.cli import (
     pair_from_inline,
     sample_phase_points,
 )
-from geodequiv.geometry import PhasePoint
-
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -115,14 +114,19 @@ def test_reports_are_deterministic_up_to_timestamp(capsys):
     assert first != second or json.loads(first)["timestamp"] == json.loads(second)["timestamp"]
 
 
-def test_thread_cap_does_not_change_results(capsys, monkeypatch):
-    args = ("verify", "--pair", "lc-demo:m2n2", "--seed", "3",
-            "--trajectories", "4", "--points", "10")
-    monkeypatch.setenv("GEODEQUIV_THREADS", "1")
-    _, serial, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("GEODEQUIV_THREADS", "4")
-    _, pooled, _ = run_cli(capsys, *args)
-    assert strip_timestamp(serial) == strip_timestamp(pooled)
+def test_thread_cap_does_not_change_results(capsys, monkeypatch, tmp_path):
+    """geodesic runs its directions on the worker pool: one thread and four
+    write the same report and the same curves."""
+    written = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("GEODEQUIV_THREADS", threads)
+        out_dir = tmp_path / threads
+        code, _, _ = run_cli(capsys, "geodesic", "--pair", "lc-demo:m2n2", "--seed", "3",
+                             "--trajectories", "4", "--out", str(out_dir))
+        assert code == 0
+        written.append({f.name: strip_timestamp(f.read_text()) for f in out_dir.iterdir()})
+    assert len(written[0]) == 9  # summary.json and two curves per direction
+    assert written[0] == written[1]
 
 
 def test_seed_changes_results(capsys):
@@ -180,7 +184,7 @@ def test_inline_pair_round_trip():
     pair = pair_from_inline(doc)
     assert pair.pair_id == "inline-demo"
     assert pair.dim == 2
-    vals = pair.g.values_at([0.5, 0.0])
+    vals = pair.g.values([0.5, 0.0])
     assert np.allclose(vals, np.diag([1.0, 1.25]))
 
 
@@ -308,9 +312,9 @@ def test_lc_build_round_trip(capsys, tmp_path):
 
     direct = build_pair(battery()["m2n2"]).pair
     rng = np.random.default_rng(9)
-    for p in map(PhasePoint, *sample_phase_points(direct, 5, rng)):
-        assert np.allclose(rebuilt.g.values_at(p.x), direct.g.values_at(p.x), rtol=1e-12)
-        assert np.allclose(rebuilt.gbar.values_at(p.x), direct.gbar.values_at(p.x), rtol=1e-12)
+    xs, _ = sample_phase_points(direct, 5, rng)
+    assert np.allclose(rebuilt.g.values(xs), direct.g.values(xs), rtol=1e-12)
+    assert np.allclose(rebuilt.gbar.values(xs), direct.gbar.values(xs), rtol=1e-12)
 
 
 def test_lc_build_bad_config(capsys, tmp_path):
@@ -421,7 +425,7 @@ def per_point_sample(pair, count, rng):
         xi = rng.standard_normal(pair.dim)
         while float(np.linalg.norm(xi)) < 1e-12:
             xi = rng.standard_normal(pair.dim)
-        want.append((x, xi / float(np.sqrt(xi @ pair.g.values_at(x) @ xi))))
+        want.append((x, xi / float(np.sqrt(xi @ pair.g.values(x) @ xi))))
     return want
 
 
@@ -443,7 +447,7 @@ def test_sample_phase_points_matches_per_point_reference(source):
                                             ("u - 2", "must be finite")])
 def test_sampler_refuses_inadmissible_phase_points(entry, message):
     """An overflowing g-norm scales every direction to zero, a negative one
-    makes it NaN; the sampler raises PhasePoint's errors for both."""
+    makes it NaN; the sampler refuses both with the integrator's messages."""
     from geodequiv.cli import resolve_config_pair
 
     pair = resolve_config_pair({

@@ -20,7 +20,6 @@ from geodequiv.dsl import (
     UnknownIdentifierError,
     Var,
     eval_env,
-    eval_values,
     parse,
 )
 from geodequiv.geometry import Chart, MetricField
@@ -218,7 +217,7 @@ def test_batched_evaluation_matches_scalar_loop():
     expr = parse("sin(x1)*x2 + x1^3 / (2 + cos(x2))", names)
     rng = np.random.default_rng(0)
     xs = rng.uniform(-2, 2, size=(40, 2))
-    batch = eval_values(expr, names, xs)
+    batch = expr.evaluate(eval_env(names, list(xs.T)))
     single = np.array([value_at(expr, names, x) for x in xs])
     assert np.allclose(batch, single, rtol=1e-15, atol=0)
 

@@ -26,7 +26,7 @@ from geodequiv.factory import (
     rank_one_data,
     rank_one_delta,
 )
-from geodequiv.geometry import Chart, MetricField, PhasePoint
+from geodequiv.geometry import Chart, MetricField
 from geodequiv.integrals import MetricPair
 from geodequiv import resolve_pair
 
@@ -162,31 +162,31 @@ def test_canonical_form_matches_finite_difference_exterior_derivative():
     g = MetricField.from_strings(
         chart, [["1 + 0.4*x2^2", "0.2*x1*x2"], ["0.2*x1*x2", "2 + 0.3*sin(x1)"]]
     )
-    p = PhasePoint([0.3, -0.4], [0.8, 0.6])
-    form = omega_g_at(g, p.x, p.xi).matrix
+    x, xi = np.array([0.3, -0.4]), np.array([0.8, 0.6])
+    form = omega_g_at(g, x, xi).matrix
     h = 1e-6
 
     def theta(x):
-        return g.values_at(x) @ p.xi
+        return g.values(x) @ xi
 
     n = 2
     dth = np.zeros((n, n))  # dth[k, i] = d theta_i / d x_k
     for k in range(n):
         e = np.zeros(n)
         e[k] = h
-        dth[k] = (theta(p.x + e) - theta(p.x - e)) / (2 * h)
+        dth[k] = (theta(x + e) - theta(x - e)) / (2 * h)
     for k in range(n):
         for i in range(n):
             want = dth[i, k] - dth[k, i]  # coefficient of dx^k wedge dx^i
             assert form[k, i] == pytest.approx(want, abs=1e-6)
-    assert np.allclose(form[:n, n:], g.values_at(p.x), atol=1e-12)
+    assert np.allclose(form[:n, n:], g.values(x), atol=1e-12)
 
 
 def test_pullback_equals_canonical_for_equal_metrics():
     pair = resolve_pair("sphere")
-    p = PhasePoint([1.2, 0.5], [0.3, 0.7])
+    x, xi = np.array([1.2, 0.5]), np.array([0.3, 0.7])
     assert np.array_equal(
-        pullback_phi_omega(pair, p.x, p.xi).matrix, omega_g_at(pair.g, p.x, p.xi).matrix
+        pullback_phi_omega(pair, x, xi).matrix, omega_g_at(pair.g, x, xi).matrix
     )
 
 
@@ -199,8 +199,8 @@ def test_pullback_mixed_block_matches_principal_axes_formula():
         rho = rng.uniform(0.5, 3.0, size=3)
         xi = rng.normal(size=3)
         pair = constant_pair([1, 1, 1], list(rho))
-        p = PhasePoint(np.zeros(3), xi)
-        mixed = pullback_phi_omega(pair, p.x, p.xi).matrix[:3, 3:]
+        x = np.zeros(3)
+        mixed = pullback_phi_omega(pair, x, xi).matrix[:3, 3:]
         d = rank_one_data(rho, xi)
         want = np.diag(-np.array(d.mu)) + np.outer(d.A, d.B)
         assert np.allclose(mixed, want, rtol=1e-12, atol=1e-12)
@@ -218,18 +218,18 @@ def test_form_matrix_is_skew_by_construction():
 
 def test_a_scalar_trivial_values():
     pair = constant_pair([1, 1], [1, 1])
-    p = PhasePoint([0.0, 0.0], [0.6, -0.2])
-    assert a_scalar(pair, p.x, p.xi) == 1.0
+    x, xi = np.array([0.0, 0.0]), np.array([0.6, -0.2])
+    assert a_scalar(pair, x, xi) == 1.0
     pair4 = constant_pair([1, 1], [4, 4])
-    assert a_scalar(pair4, p.x, p.xi) == pytest.approx(2.0, rel=1e-15)
+    assert a_scalar(pair4, x, xi) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_a_scalar_matches_norm_ratio_on_curved_pair():
     pair = resolve_pair("ellipsoid:1,2,3")
     rng = np.random.default_rng(3)
-    for p in map(PhasePoint, *sample_phase_points(pair, 5, rng)):
-        want = pair.gbar.norm(p.x, p.xi) / pair.g.norm(p.x, p.xi)
-        assert a_scalar(pair, p.x, p.xi) == pytest.approx(want, rel=1e-14)
+    for x, xi in zip(*sample_phase_points(pair, 5, rng)):
+        want = pair.gbar.norm(x, xi) / pair.g.norm(x, xi)
+        assert a_scalar(pair, x, xi) == pytest.approx(want, rel=1e-14)
 
 
 def test_a_scalar_rejects_zero_vector():
@@ -286,8 +286,8 @@ def test_delta_poly_identity_pair_is_shifted_binomial():
     for diag in ([1, 1], [2, 1], [1, 2, 3]):
         pair = constant_pair(diag, diag)
         n = len(diag)
-        p = PhasePoint(np.zeros(n), np.linspace(0.7, 1.3, n))
-        got = np.array(delta_poly(pair, p.x, p.xi).coeffs)
+        x, xi = np.zeros(n), np.linspace(0.7, 1.3, n)
+        got = np.array(delta_poly(pair, x, xi).coeffs)
         from math import comb
 
         want = np.array([(-1.0) ** k * comb(n, k) for k in range(n + 1)], dtype=float)
@@ -297,10 +297,10 @@ def test_delta_poly_identity_pair_is_shifted_binomial():
 def test_delta_poly_squares_to_determinant_ratio():
     pair = resolve_pair("ellipsoid:1,2,3")
     rng = np.random.default_rng(71)
-    p = PhasePoint(*(v[0] for v in sample_phase_points(pair, 1, rng)))
-    delta = delta_poly(pair, p.x, p.xi)
-    omega = omega_g_at(pair.g, p.x, p.xi).matrix
-    pulled = pullback_phi_omega(pair, p.x, p.xi).matrix
+    x, xi = (v[0] for v in sample_phase_points(pair, 1, rng))
+    delta = delta_poly(pair, x, xi)
+    omega = omega_g_at(pair.g, x, xi).matrix
+    pulled = pullback_phi_omega(pair, x, xi).matrix
     det_omega = np.linalg.det(omega)
     for t in rng.uniform(-2.0, 2.0, size=10):
         lhs = delta(t) ** 2
@@ -314,8 +314,8 @@ def test_delta_poly_matches_rank_one_route_at_principal_axes():
         rho = rng.uniform(0.5, 2.5, size=n)
         xi = rng.normal(size=n)
         pair = constant_pair([1] * n, list(rho))
-        p = PhasePoint(np.zeros(n), xi)
-        delta = delta_poly(pair, p.x, p.xi)
+        x = np.zeros(n)
+        delta = delta_poly(pair, x, xi)
         for t in rng.uniform(-2.0, 2.0, size=6):
             assert delta(t) == pytest.approx(rank_one_delta(rank_one_data(rho, xi), t),
                                              rel=1e-9, abs=1e-9)
@@ -363,8 +363,8 @@ def test_rank_one_matches_full_determinant():
 def test_remainder_small_on_equivalent_pair():
     pair = resolve_pair("lc-demo:m2n2")
     rng = np.random.default_rng(83)
-    for p in map(PhasePoint, *sample_phase_points(pair, 10, rng)):
-        fi = factory_integrals(pair, p.x, p.xi)
+    for x, xi in zip(*sample_phase_points(pair, 10, rng)):
+        fi = factory_integrals(pair, x, xi)
         scale = np.linalg.norm(fi.delta.coeffs)
         assert abs(fi.remainder) <= 1e-8 * scale
         assert fi.coeffs.degree == pair.dim - 1
@@ -375,9 +375,9 @@ def test_quotient_matches_closed_form_dictionary():
     for name in ("ellipsoid:1,2,3", "lc-demo:m2n3", "lc-demo:m3n4"):
         pair = resolve_pair(name)
         rng = np.random.default_rng(89)
-        for p in map(PhasePoint, *sample_phase_points(pair, 5, rng)):
-            fi = factory_integrals(pair, p.x, p.xi)
-            closed = coeffs_from_closed_form(pair, p.x, p.xi)
+        for x, xi in zip(*sample_phase_points(pair, 5, rng)):
+            fi = factory_integrals(pair, x, xi)
+            closed = coeffs_from_closed_form(pair, x, xi)
             assert np.allclose(np.array(fi.coeffs.coeffs), closed, rtol=1e-8, atol=1e-8)
 
 
@@ -385,15 +385,15 @@ def test_quotient_matches_closed_form_dictionary():
 def test_batched_factory_equals_single_points(name):
     pair = resolve_pair(name)
     xs, xis = sample_phase_points(pair, 12, np.random.default_rng(101))
-    pts = list(map(PhasePoint, xs, xis))
+    pts = list(zip(xs, xis))
     fi = factory_integrals(pair, xs, xis)
     closed = coeffs_from_closed_form(pair, xs, xis)
-    singles = [factory_integrals(pair, p.x, p.xi) for p in pts]
+    singles = [factory_integrals(pair, x, xi) for x, xi in pts]
     for got, field in ((fi.coeffs.coeffs, lambda f: f.coeffs.coeffs),
                        (fi.delta.coeffs, lambda f: f.delta.coeffs),
                        (fi.remainder, lambda f: f.remainder), (fi.a, lambda f: f.a)):
         assert got.tobytes() == np.array([field(f) for f in singles]).tobytes()
-    want = np.array([coeffs_from_closed_form(pair, p.x, p.xi) for p in pts])
+    want = np.array([coeffs_from_closed_form(pair, x, xi) for x, xi in pts])
     assert closed.tobytes() == want.tobytes()
     # further leading axes are batch axes too
     grid = factory_integrals(pair, xs.reshape(3, 4, -1), xis.reshape(3, 4, -1))
@@ -410,8 +410,8 @@ def test_constant_coefficient_closed_form_at_principal_axes():
         rho = rng.uniform(0.5, 2.0, size=n)
         xi = rng.normal(size=n)
         pair = constant_pair([1] * n, list(rho))
-        p = PhasePoint(np.zeros(n), xi)
-        fi = factory_integrals(pair, p.x, p.xi)
-        ratio = 1.0 / a_scalar(pair, p.x, p.xi)
+        x = np.zeros(n)
+        fi = factory_integrals(pair, x, xi)
+        ratio = 1.0 / a_scalar(pair, x, xi)
         want = (-1.0) ** (n + 1) * ratio ** (n + 1) * np.prod(rho)
         assert fi.coeffs.ascending()[0] == pytest.approx(want, rel=1e-9)

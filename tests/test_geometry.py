@@ -16,13 +16,13 @@ from geodequiv.geometry import (
     ChartDomainError,
     GeodesicOptions,
     MetricField,
-    PhasePoint,
     Trajectory,
     arc_length,
     arclength_reparam,
     check_phase_points,
     christoffel,
     curve_distance,
+    geodesic_coincidence,
     geodesic_rhs,
     integrate_geodesic,
     symmetric_curve_distance,
@@ -122,6 +122,18 @@ def test_exponential_entry_gradient_at_origin():
     assert np.allclose(grads[0, 0], [2.0, 0.0])
 
 
+@pytest.mark.parametrize("metric", [sphere_metric, lambda: euclid_metric(2)])
+def test_values_of_a_stack_are_the_values_at_each_point(metric):
+    """One point gives (n, n), a stack (N, n, n), also when every entry is
+    constant; both triangles hold the same values."""
+    g = metric()
+    xs = np.array([[1.0, 0.5], [2.0, -0.3], [0.7, 1.9]])
+    stacked = g.values(xs)
+    assert stacked.shape == (3, 2, 2)
+    assert np.array_equal(stacked, np.stack([g.values(x) for x in xs]))
+    assert np.array_equal(stacked, stacked.swapaxes(1, 2))
+
+
 def test_negative_entry_fails_definiteness_check():
     chart = euclidean_chart(2)
     g = metric_from(chart, [["1", "0"], ["0", "-1"]])
@@ -175,8 +187,8 @@ def test_christoffel_matches_finite_difference_route():
     for k in range(n):
         e = np.zeros(n)
         e[k] = h
-        dg[:, :, k] = (g.values_at(x + e) - g.values_at(x - e)) / (2 * h)
-    ginv = np.linalg.inv(g.values_at(x))
+        dg[:, :, k] = (g.values(x + e) - g.values(x - e)) / (2 * h)
+    ginv = np.linalg.inv(g.values(x))
     want = np.zeros((n, n, n))
     for k in range(n):
         for i in range(n):
@@ -188,9 +200,12 @@ def test_christoffel_matches_finite_difference_route():
 
 
 def test_geodesic_rhs_shapes():
-    vel, acc = geodesic_rhs(sphere_metric(), [1.0, 0.5], [0.2, 0.3])
-    assert vel.shape == acc.shape == (2,)
-    assert np.allclose(vel, [0.2, 0.3])
+    g = sphere_metric()
+    x, xi = np.array([1.0, 0.5]), np.array([0.2, 0.3])
+    dy = geodesic_rhs(0.0, np.concatenate([x, xi]), g)
+    assert dy.shape == (4,)
+    assert np.array_equal(dy[:2], xi)
+    assert np.array_equal(dy[2:], -np.einsum("kij,i,j->k", christoffel(g, x), xi, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +213,7 @@ def test_geodesic_rhs_shapes():
 
 
 def test_straight_line_in_flat_metric():
-    traj = integrate_geodesic(euclid_metric(2), PhasePoint([0.0, 0.0], [1.0, 0.0]), 1.0)
+    traj = integrate_geodesic(euclid_metric(2), [0.0, 0.0], [1.0, 0.0], 1.0)
     assert np.allclose(traj.xs[-1], [1.0, 0.0], atol=1e-12)
     assert np.allclose(traj.xis[-1], [1.0, 0.0], atol=1e-12)
     assert not traj.left_domain
@@ -206,8 +221,8 @@ def test_straight_line_in_flat_metric():
 
 def test_equator_closes_after_full_turn():
     g = sphere_metric()
-    p0 = PhasePoint([np.pi / 2, 0.0], [0.0, 1.0])
-    traj = integrate_geodesic(g, p0, 2 * np.pi, GeodesicOptions(samples=501))
+    traj = integrate_geodesic(g, [np.pi / 2, 0.0], [0.0, 1.0], 2 * np.pi,
+                              GeodesicOptions(samples=501))
     end = traj.xs[-1]
     assert abs(end[0] - np.pi / 2) < 1e-6
     assert abs(end[1] - 2 * np.pi) < 1e-6
@@ -215,8 +230,7 @@ def test_equator_closes_after_full_turn():
 
 def test_energy_drift_reported_within_default_tolerance():
     g = sphere_metric()
-    p0 = PhasePoint([1.1, 0.0], [0.3, 0.9])
-    traj = integrate_geodesic(g, p0, 4.0)
+    traj = integrate_geodesic(g, [1.1, 0.0], [0.3, 0.9], 4.0)
     assert traj.energy_drift <= 1e-8
     E = traj.energies()
     assert np.max(np.abs(E - E[0])) / abs(E[0]) == pytest.approx(traj.energy_drift)
@@ -226,7 +240,7 @@ def test_domain_exit_truncates_and_flags():
     names = ("u", "v")
     chart = Chart(names, domain=parse("1 - u", names), sample_box=((-0.5, 0.5), (-0.5, 0.5)))
     g = MetricField.from_diagonal(chart, [parse("1", names), parse("1", names)])
-    traj = integrate_geodesic(g, PhasePoint([0.0, 0.0], [1.0, 0.0]), 5.0)
+    traj = integrate_geodesic(g, [0.0, 0.0], [1.0, 0.0], 5.0)
     assert traj.left_domain
     assert traj.ts[-1] == pytest.approx(1.0, abs=1e-9)
     assert traj.xs[-1][0] == pytest.approx(1.0, abs=1e-9)
@@ -239,7 +253,7 @@ def test_start_outside_domain_raises():
     chart = Chart(names, domain=parse("u", names), sample_box=((0.1, 1.0),))
     g = MetricField.from_diagonal(chart, [parse("1", names)])
     with pytest.raises(ChartDomainError):
-        integrate_geodesic(g, PhasePoint([-0.5], [1.0]), 1.0)
+        integrate_geodesic(g, [-0.5], [1.0], 1.0)
 
 
 @pytest.mark.parametrize("factors", [True, False])
@@ -260,16 +274,24 @@ def test_trajectory_names_first_sample_outside_domain(factors):
 
 
 def test_phase_checks_name_the_same_fault_for_a_batch_and_a_point():
+    """The sampler's batch check and the entry checks of the integrator and
+    the coincidence measure refuse the same faults with the same messages."""
+    g = euclid_metric(2)
     xs, xis = np.zeros((3, 2)), np.ones((3, 2))
     check_phase_points(xs, xis)
+    cases = [(xs.copy(), xis[:, :1].copy(), "vectors of equal length")]
     for x1, xi1, message in ((np.nan, 1.0, "must be finite"), (0.0, -np.inf, "must be finite"),
                              (0.0, 0.0, "zero tangent")):
         bad_xs, bad_xis = xs.copy(), xis.copy()
         bad_xs[1], bad_xis[1] = x1, xi1
+        cases.append((bad_xs, bad_xis, message))
+    for bad_xs, bad_xis, message in cases:
         with pytest.raises(ValueError, match=message):
             check_phase_points(bad_xs, bad_xis)
         with pytest.raises(ValueError, match=message):
-            PhasePoint(bad_xs[1], bad_xis[1])
+            integrate_geodesic(g, bad_xs[1], bad_xis[1], 1.0)
+        with pytest.raises(ValueError, match=message):
+            geodesic_coincidence(g, g, bad_xs[1], bad_xis[1])
 
 
 def test_trajectory_requires_increasing_times():
@@ -283,7 +305,7 @@ def test_trajectory_requires_increasing_times():
 
 
 def test_reparam_straight_line_is_uniform():
-    traj = integrate_geodesic(euclid_metric(2), PhasePoint([0.0, 0.0], [2.0, 0.0]), 1.0)
+    traj = integrate_geodesic(euclid_metric(2), [0.0, 0.0], [2.0, 0.0], 1.0)
     pts = arclength_reparam(traj, traj.metric, count=11)
     assert np.allclose(pts[:, 1], 0.0, atol=1e-12)
     assert np.allclose(np.diff(pts[:, 0]), 0.2, atol=1e-9)
@@ -291,10 +313,9 @@ def test_reparam_straight_line_is_uniform():
 
 def test_reparam_is_speed_invariant():
     g = sphere_metric()
-    p = PhasePoint([1.2, 0.1], [0.4, 0.7])
-    fast = PhasePoint(p.x, 2.0 * p.xi)
-    t1 = integrate_geodesic(g, p, 2.0, GeodesicOptions(samples=801))
-    t2 = integrate_geodesic(g, fast, 1.0, GeodesicOptions(samples=801))
+    x, xi = np.array([1.2, 0.1]), np.array([0.4, 0.7])
+    t1 = integrate_geodesic(g, x, xi, 2.0, GeodesicOptions(samples=801))
+    t2 = integrate_geodesic(g, x, 2.0 * xi, 1.0, GeodesicOptions(samples=801))
     c1 = arclength_reparam(t1, g, count=64)
     c2 = arclength_reparam(t2, g, count=64)
     assert np.max(np.abs(c1 - c2)) < 1e-9
@@ -302,7 +323,7 @@ def test_reparam_is_speed_invariant():
 
 def test_reparam_equator_gives_equal_central_angles():
     g = sphere_metric()
-    traj = integrate_geodesic(g, PhasePoint([np.pi / 2, 0.0], [0.0, 1.0]), 3.0)
+    traj = integrate_geodesic(g, [np.pi / 2, 0.0], [0.0, 1.0], 3.0)
     pts = arclength_reparam(traj, g, count=31)
     # on the equator the g-arc length equals the longitude angle
     assert np.allclose(np.diff(pts[:, 1]), 0.1, atol=1e-8)
@@ -310,7 +331,7 @@ def test_reparam_equator_gives_equal_central_angles():
 
 def test_arc_length_of_unit_speed_geodesic():
     g = sphere_metric()
-    traj = integrate_geodesic(g, PhasePoint([np.pi / 2, 0.0], [0.0, 1.0]), 3.0)
+    traj = integrate_geodesic(g, [np.pi / 2, 0.0], [0.0, 1.0], 3.0)
     assert arc_length(traj, g) == pytest.approx(3.0, rel=1e-9)
 
 
@@ -327,15 +348,15 @@ def test_coincidence_measures_each_trajectory_once(name, monkeypatch):
         return _orig(traj, metric)
 
     pair = resolve_pair(name)
-    p0 = PhasePoint(pair.g.chart.box_points(1, np.random.default_rng(5))[0], [0.6, 0.8])
-    want = geometry.geodesic_coincidence(pair.g, pair.gbar, p0)
+    x0 = pair.g.chart.box_points(1, np.random.default_rng(5))[0]
+    want = geometry.geodesic_coincidence(pair.g, pair.gbar, x0, [0.6, 0.8])
     monkeypatch.setattr(geometry, "arc_length", counting_arc_length)
-    assert geometry.geodesic_coincidence(pair.g, pair.gbar, p0) == want
+    assert geometry.geodesic_coincidence(pair.g, pair.gbar, x0, [0.6, 0.8]) == want
     assert len({id(t) for t in measured}) == len(measured) >= 2
 
 
 def test_reparam_length_clip():
-    traj = integrate_geodesic(euclid_metric(2), PhasePoint([0.0, 0.0], [1.0, 0.0]), 4.0)
+    traj = integrate_geodesic(euclid_metric(2), [0.0, 0.0], [1.0, 0.0], 4.0)
     pts = arclength_reparam(traj, traj.metric, count=5, length=2.0)
     assert pts[-1][0] == pytest.approx(2.0, abs=1e-9)
 
@@ -467,7 +488,7 @@ def test_distance_handles_single_point_reference():
 
 
 def test_csv_export_shape():
-    traj = integrate_geodesic(euclid_metric(2), PhasePoint([0.0, 0.0], [1.0, 0.5]), 1.0,
+    traj = integrate_geodesic(euclid_metric(2), [0.0, 0.0], [1.0, 0.5], 1.0,
                               GeodesicOptions(samples=5))
     text = trajectory_to_csv(traj)
     lines = text.strip().split("\n")
@@ -500,7 +521,7 @@ def test_exports_write_the_repr_of_every_value(data):
 
 
 def test_json_export_fields():
-    traj = integrate_geodesic(euclid_metric(2), PhasePoint([0.0, 0.0], [1.0, 0.5]), 1.0,
+    traj = integrate_geodesic(euclid_metric(2), [0.0, 0.0], [1.0, 0.5], 1.0,
                               GeodesicOptions(samples=5))
     doc = json.loads(trajectory_to_json(traj))
     assert set(doc) == {"columns", "rows", "left_domain"}

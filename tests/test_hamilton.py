@@ -9,15 +9,12 @@ import pytest
 from geodequiv import GeodesicOptions, integrate_geodesic, resolve_pair
 from geodequiv.cli import sample_phase_points
 from geodequiv.dsl import parse
-from geodequiv.geometry import Chart, MetricField, PhasePoint
+from geodequiv.geometry import Chart, MetricField
 from geodequiv.hamilton import (
-    CanonicalPoint,
     canonical_gradients,
     conservation_drift,
     coordinate_function,
     hamiltonian,
-    legendre,
-    legendre_inverse,
     momentum_function,
     poisson_bracket,
 )
@@ -39,34 +36,37 @@ def curved_metric():
 
 
 # ---------------------------------------------------------------------------
-# legendre transform
+# legendre transform: the momenta p_i = g_ij xi^j and the canonical gradients
+
+
+def momenta(g, xs, xis):
+    return np.stack([momentum_function(g, i).value_batch(xs, xis) for i in range(g.dim)], axis=-1)
 
 
 def test_flat_momenta_equal_velocities():
     g = flat_metric(2)
-    p = legendre(g, PhasePoint([0.1, 0.2], [0.7, -0.3]))
-    assert np.allclose(p.p, [0.7, -0.3], atol=1e-15)
+    p = momenta(g, np.array([[0.1, 0.2]]), np.array([[0.7, -0.3]]))
+    assert np.allclose(p, [[0.7, -0.3]], atol=1e-15)
 
 
 def test_diagonal_momenta():
     g = flat_metric(2, [2, 1])
-    p = legendre(g, PhasePoint([0.0, 0.0], [1.0, 1.0]))
-    assert np.allclose(p.p, [2.0, 1.0], atol=1e-15)
+    p = momenta(g, np.zeros((1, 2)), np.ones((1, 2)))
+    assert np.allclose(p, [[2.0, 1.0]], atol=1e-15)
 
 
 def test_legendre_round_trip_random_metric():
+    """The momenta are the canonical fibre coordinates, so the Legendre step
+    of canonical_gradients must return their gradients as dp/dx = 0 and
+    dp/dp = identity."""
     g = curved_metric()
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        x = rng.uniform(-0.9, 0.9, size=2)
-        xi = rng.normal(size=2)
-        back = legendre_inverse(g, legendre(g, PhasePoint(x, xi)))
-        assert np.allclose(back.xi, xi, rtol=1e-12, atol=1e-12)
-
-
-def test_canonical_point_shape_validation():
-    with pytest.raises(ValueError):
-        CanonicalPoint([0.0, 1.0], [1.0])
+    xs = rng.uniform(-0.9, 0.9, size=(10, 2))
+    xis = rng.normal(size=(10, 2))
+    jac = np.stack([momentum_function(g, i).grad_batch(xs, xis) for i in range(2)], axis=1)
+    px, pp = canonical_gradients(jac, g, xs, xis)
+    assert np.allclose(px, 0.0, rtol=1e-12, atol=1e-12)
+    assert np.allclose(pp, np.eye(2), rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -76,17 +76,16 @@ def test_canonical_point_shape_validation():
 def test_bracket_of_hamiltonian_with_itself_is_exactly_zero():
     g = curved_metric()
     H = hamiltonian(g)
-    p = PhasePoint([0.3, -0.2], [0.8, 0.1])
-    assert poisson_bracket(H, H, g, p.x, p.xi) == 0.0
+    assert poisson_bracket(H, H, g, [0.3, -0.2], [0.8, 0.1]) == 0.0
 
 
 def test_canonical_pair_bracket_is_minus_one():
     g = curved_metric()
     p1 = momentum_function(g, 0)
     x1 = coordinate_function(0, 2)
-    pt = PhasePoint([0.4, 0.1], [0.5, -0.7])
-    assert poisson_bracket(p1, x1, g, pt.x, pt.xi) == pytest.approx(-1.0, rel=1e-12)
-    assert poisson_bracket(x1, p1, g, pt.x, pt.xi) == pytest.approx(+1.0, rel=1e-12)
+    x, xi = [0.4, 0.1], [0.5, -0.7]
+    assert poisson_bracket(p1, x1, g, x, xi) == pytest.approx(-1.0, rel=1e-12)
+    assert poisson_bracket(x1, p1, g, x, xi) == pytest.approx(+1.0, rel=1e-12)
 
 
 def test_all_canonical_pairs():
@@ -107,11 +106,11 @@ def test_bracket_antisymmetry_and_leibniz():
     H = hamiltonian(g)
     F = momentum_function(g, 1)
     K = coordinate_function(0, 2)
-    pt = PhasePoint([0.15, 0.35], [0.6, -0.2])
-    x, xi = pt.x, pt.xi
+    x, xi = np.array([0.15, 0.35]), np.array([0.6, -0.2])
+    Fv, Kv = (f.value_batch(x[None], xi[None])[0] for f in (F, K))
     assert poisson_bracket(H, F, g, x, xi) == pytest.approx(-poisson_bracket(F, H, g, x, xi), rel=1e-12)
     lhs = poisson_bracket(H, F * K, g, x, xi)
-    rhs = poisson_bracket(H, F, g, x, xi) * K.at(pt) + F.at(pt) * poisson_bracket(H, K, g, x, xi)
+    rhs = poisson_bracket(H, F, g, x, xi) * Kv + Fv * poisson_bracket(H, K, g, x, xi)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -151,17 +150,17 @@ def test_energy_drift_within_integrator_tolerance():
     pair = resolve_pair("lc-demo:m2n2")
     H = hamiltonian(pair.g)
     rng = np.random.default_rng(23)
-    p0 = PhasePoint(*(v[0] for v in sample_phase_points(pair, 1, rng)))
+    xs, xis = sample_phase_points(pair, 1, rng)
     opts = GeodesicOptions()
-    traj = integrate_geodesic(pair.g, p0, 5.0, opts)
+    traj = integrate_geodesic(pair.g, xs[0], xis[0], 5.0, opts)
     assert conservation_drift(H.value_batch(traj.xs, traj.xis)) <= opts.energy_tol
 
 
 def test_bottom_integral_conserved_on_curved_pair():
     pair = resolve_pair("ellipsoid:1,2,3")
     rng = np.random.default_rng(29)
-    p0 = PhasePoint(*(v[0] for v in sample_phase_points(pair, 1, rng)))
-    traj = integrate_geodesic(pair.g, p0, 5.0,
+    xs, xis = sample_phase_points(pair, 1, rng)
+    traj = integrate_geodesic(pair.g, xs[0], xis[0], 5.0,
                               GeodesicOptions(rtol=1e-10, atol=1e-10, energy_tol=1e-7))
     F = integral_phase_function(pair, 0)
     assert conservation_drift(F.value_batch(traj.xs, traj.xis)) <= 1e-6
@@ -170,11 +169,10 @@ def test_bottom_integral_conserved_on_curved_pair():
 def test_bottom_integral_drifts_on_broken_pair():
     pair = resolve_pair("falsify:perturbed-lc:0.1")
     rng = np.random.default_rng(31)
-    starts = map(PhasePoint, *sample_phase_points(pair, 5, rng))
     F = integral_phase_function(pair, 0)
     drifts = []
-    for p0 in starts:
-        traj = integrate_geodesic(pair.g, p0, 5.0, GeodesicOptions(energy_tol=1e-7))
+    for x, xi in zip(*sample_phase_points(pair, 5, rng)):
+        traj = integrate_geodesic(pair.g, x, xi, 5.0, GeodesicOptions(energy_tol=1e-7))
         drifts.append(conservation_drift(F.value_batch(traj.xs, traj.xis)))
     assert max(drifts) > 1e-2
 

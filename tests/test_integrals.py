@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from geodequiv.dsl import parse
-from geodequiv.geometry import Chart, MetricField, PhasePoint
+from geodequiv.geometry import Chart, MetricField
 from geodequiv.integrals import (
     MetricPair,
     char_coeffs,
     eigen_profile,
     g_operator,
     independence_rank,
-    integral_Ik,
     integral_phase_function,
     integrals_at,
     integrals_jacobian,
@@ -30,6 +29,11 @@ from geodequiv.integrals import (
 )
 from geodequiv import resolve_pair
 from geodequiv.cli import sample_phase_points
+
+
+def integral(pair, x, xi, k):
+    """I_k at the single phase point (x, xi)."""
+    return integrals_at(pair, np.array([x], dtype=float), np.array([xi], dtype=float))[0, k]
 
 
 def constant_pair(g_diag, gbar_diag, n=None):
@@ -137,7 +141,7 @@ def test_s_matrix_index_range():
     with pytest.raises(ValueError):
         s_matrix(pair, [0.0, 0.0], 2)
     with pytest.raises(ValueError):
-        integral_Ik(pair, PhasePoint([0.0, 0.0], [1.0, 0.0]), -1)
+        integral_phase_function(pair, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,33 +150,30 @@ def test_s_matrix_index_range():
 
 def test_last_integral_is_minus_energy_for_equal_metrics():
     pair = constant_pair([2, 1], [2, 1])
-    p = PhasePoint([0.0, 0.0], [0.7, -0.4])
     gxx = 2 * 0.7**2 + 0.4**2
-    assert integral_Ik(pair, p, 1) == pytest.approx(-gxx, rel=1e-14)
+    assert integral(pair, [0.0, 0.0], [0.7, -0.4], 1) == pytest.approx(-gxx, rel=1e-14)
 
 
 def test_doubled_metric_2d_bottom_integral():
     pair = constant_pair([1, 1], [2, 2])
-    p = PhasePoint([0.0, 0.0], [0.3, 0.5])
     gxx = 0.3**2 + 0.5**2
     want = (1.0 / 4.0) ** (2.0 / 3.0) * 2.0 * gxx
-    assert integral_Ik(pair, p, 0) == pytest.approx(want, rel=1e-14)
+    assert integral(pair, [0.0, 0.0], [0.3, 0.5], 0) == pytest.approx(want, rel=1e-14)
 
 
 def test_painleve_equals_energy_for_equal_metrics():
     pair = constant_pair([1, 3], [1, 3])
-    p = PhasePoint([0.2, -0.1], [0.4, 0.6])
-    assert painleve_I0(pair, p) == pytest.approx(0.4**2 + 3 * 0.6**2, rel=1e-14)
+    assert painleve_I0(pair, [0.2, -0.1], [0.4, 0.6]) == pytest.approx(0.4**2 + 3 * 0.6**2, rel=1e-14)
 
 
 def test_bottom_integral_is_signed_painleve():
     for name in ("ellipsoid:1,2,3", "lc-demo:m2n3"):
         pair = resolve_pair(name)
         rng = np.random.default_rng(4)
-        for p in map(PhasePoint, *sample_phase_points(pair, 5, rng)):
+        for x, xi in zip(*sample_phase_points(pair, 5, rng)):
             n = pair.dim
-            assert integral_Ik(pair, p, 0) == pytest.approx(
-                (-1.0) ** n * painleve_I0(pair, p), rel=1e-12
+            assert integral(pair, x, xi, 0) == pytest.approx(
+                (-1.0) ** n * painleve_I0(pair, x, xi), rel=1e-12
             )
 
 
@@ -182,7 +183,7 @@ def test_batch_integrals_match_pointwise():
     xs, xis = sample_phase_points(pair, 16, rng)
     batch = integrals_at(pair, xs, xis)
     for k in range(pair.dim):
-        single = np.array([integral_Ik(pair, p, k) for p in map(PhasePoint, xs, xis)])
+        single = np.array([integral(pair, x, xi, k) for x, xi in zip(xs, xis)])
         assert np.allclose(batch[:, k], single, rtol=1e-13)
 
 
@@ -221,8 +222,8 @@ def test_transfer_zero_covector_is_zero():
     names = pair.chart.names
     F = transfer_killing(pair, [parse("0", names), parse("0", names)])
     rng = np.random.default_rng(1)
-    for p in map(PhasePoint, *sample_phase_points(pair, 5, rng)):
-        assert F.at(p) == 0.0
+    xs, xis = sample_phase_points(pair, 5, rng)
+    assert np.array_equal(F.value_batch(xs, xis), np.zeros(5))
 
 
 def test_transfer_identity_pair_keeps_rotation_integral():
@@ -232,8 +233,7 @@ def test_transfer_identity_pair_keeps_rotation_integral():
     names = pair.chart.names
     cov = [parse("0", names), parse("sin(th)^2", names)]
     F = transfer_killing(pair, cov)
-    p = PhasePoint([1.1, 0.4], [0.3, 0.8])
-    assert F.at(p) == pytest.approx(np.sin(1.1) ** 2 * 0.8, rel=1e-14)
+    assert F.value_batch([[1.1, 0.4]], [[0.3, 0.8]])[0] == pytest.approx(np.sin(1.1) ** 2 * 0.8, rel=1e-14)
 
 
 def test_transfer_conserved_along_revolution_geodesics():
@@ -249,8 +249,8 @@ def test_transfer_conserved_along_revolution_geodesics():
     names = pair.chart.names
     F = transfer_killing(pair, [parse("0", names), pair.gbar.entry(1, 1)])
     rng = np.random.default_rng(3)
-    for p0 in map(PhasePoint, *sample_phase_points(pair, 3, rng)):
-        traj = integrate_geodesic(pair.g, p0, 5.0, GeodesicOptions(rtol=1e-10, atol=1e-10))
+    for x, xi in zip(*sample_phase_points(pair, 3, rng)):
+        traj = integrate_geodesic(pair.g, x, xi, 5.0, GeodesicOptions(rtol=1e-10, atol=1e-10))
         assert conservation_drift(F.value_batch(traj.xs, traj.xis)) <= 1e-6
 
 

@@ -13,15 +13,13 @@ from hypothesis import given, strategies as st
 from geodequiv import GeodesicOptions, integrate_geodesic
 from geodequiv.cli import sample_phase_points
 from geodequiv.dsl import scalar_value
-from geodequiv.geometry import PhasePoint
 from geodequiv.hamilton import conservation_drift
-from geodequiv.integrals import MetricPair, integral_Ik, integrals_at, involution_matrix
+from geodequiv.integrals import MetricPair, integrals_at, involution_matrix
 from geodequiv.levicivita import (
     LCSpec,
     build_pair,
     elementary_symmetric,
     lcspec_from_json,
-    phi_from_rho,
     pi_values,
 )
 
@@ -52,13 +50,13 @@ def test_pi_values_cases():
     assert [float(v) for v in pi_values([1.0, 2.0, 4.0])] == [3.0, 2.0, 6.0]
 
 
-def test_phi_from_rho_round_trip():
-    spec = LCSpec(sizes=(1, 1, 1), phi=("1", "2", "4"))
+def test_rho_values_match_their_formula():
+    spec = LCSpec(sizes=(1, 1, 1), phi=("1 + 0.2*sin(x1)", "2", "4 + 0.1*x3"))
     lc = build_pair(spec)
     x = np.array([0.3, -0.2, 0.5])
-    rho = lc.rho_values(x)
-    back = phi_from_rho(rho)
-    assert np.allclose(back, [1.0, 2.0, 4.0], rtol=1e-12)
+    phis = np.array([1.0 + 0.2 * np.sin(0.3), 2.0, 4.05])
+    # rho_i = 1 / (phi_1 ... phi_m phi_i)
+    assert np.allclose(lc.rho_values(x), 1.0 / (np.prod(phis) * phis), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +66,8 @@ def test_phi_from_rho_round_trip():
 def test_single_block_constant_weight_gives_identity_pair():
     lc = build_pair(LCSpec(sizes=(2,), phi=("1",)))
     x = [0.4, -0.7]
-    assert np.allclose(lc.pair.g.values_at(x), np.eye(2), atol=1e-15)
-    assert np.allclose(lc.pair.gbar.values_at(x), np.eye(2), atol=1e-15)
+    assert np.allclose(lc.pair.g.values(x), np.eye(2), atol=1e-15)
+    assert np.allclose(lc.pair.gbar.values(x), np.eye(2), atol=1e-15)
     assert np.allclose(lc.rho_values(np.asarray(x)), [1.0], atol=1e-15)
 
 
@@ -141,20 +139,19 @@ def test_first_linear_integral_is_energy(battery_pairs):
         lc = battery_pairs[key]
         L1 = lc.linear_integrals()[0]
         rng = np.random.default_rng(5)
-        for p in map(PhasePoint, *sample_phase_points(lc.pair, 5, rng)):
-            gxx = lc.pair.g.norm(p.x, p.xi) ** 2
-            assert L1.at(p) == pytest.approx(gxx, rel=1e-12)
+        xs, xis = sample_phase_points(lc.pair, 5, rng)
+        gxx = lc.pair.g.norm(xs, xis) ** 2
+        assert L1.value_batch(xs, xis) == pytest.approx(gxx, rel=1e-12)
 
 
 def test_second_linear_integral_formula_m2():
     spec = LCSpec(sizes=(1, 1), phi=("1", "2"))
     lc = build_pair(spec)
     L2 = lc.linear_integrals()[1]
-    p = PhasePoint([0.2, -0.3], [0.7, 0.4])
     # with two singleton blocks: L_2 = phi_2 Pi_1 A_1 + phi_1 Pi_2 A_2
     pis = [float(scalar_value(v)) for v in pi_values([1.0, 2.0])]
     want = 2.0 * pis[0] * 0.7**2 + 1.0 * pis[1] * 0.4**2
-    assert L2.at(p) == pytest.approx(want, rel=1e-13)
+    assert L2.value_batch([[0.2, -0.3]], [[0.7, 0.4]])[0] == pytest.approx(want, rel=1e-13)
 
 
 def test_linear_integrals_conserved_and_commuting(battery_pairs):
@@ -163,8 +160,8 @@ def test_linear_integrals_conserved_and_commuting(battery_pairs):
     rng = np.random.default_rng(7)
     xs, xis = sample_phase_points(lc.pair, 4, rng)
     opts = GeodesicOptions(rtol=1e-10, atol=1e-10)
-    for p in map(PhasePoint, xs, xis):
-        traj = integrate_geodesic(lc.pair.g, p, 5.0, opts)
+    for x, xi in zip(xs, xis):
+        traj = integrate_geodesic(lc.pair.g, x, xi, 5.0, opts)
         for L in fns:
             assert conservation_drift(L.value_batch(traj.xs, traj.xis)) <= 1e-6
     jac = np.stack([L.grad_batch(xs, xis) for L in fns], axis=1)
@@ -186,11 +183,11 @@ def test_decomposition_coefficients_structure(battery_pairs):
 def test_predicted_matches_integrals_on_battery(battery_pairs):
     for key, lc in battery_pairs.items():
         rng = np.random.default_rng(11)
-        for p in map(PhasePoint, *sample_phase_points(lc.pair, 10, rng)):
+        xs, xis = sample_phase_points(lc.pair, 10, rng)
+        for x, xi, Ik in zip(xs, xis, integrals_at(lc.pair, xs, xis)):
             for k in range(lc.dim):
-                got = integral_Ik(lc.pair, p, k)
-                want = lc.predicted_integral(k, p)
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-11), (key, k)
+                want = lc.predicted_integral(k, x, xi)
+                assert Ik[k] == pytest.approx(want, rel=1e-9, abs=1e-11), (key, k)
 
 
 def test_degenerate_all_singletons_alternating_signs(battery_pairs):
@@ -204,10 +201,11 @@ def test_degenerate_all_singletons_alternating_signs(battery_pairs):
         m = lc.spec.block_count
         fns = lc.linear_integrals()
         rng = np.random.default_rng(13)
-        for p in map(PhasePoint, *sample_phase_points(lc.pair, 5, rng)):
-            for k in range(lc.dim):
-                want = (-1.0) ** (n + k) * fns[m - k - 1].at(p)
-                assert integral_Ik(lc.pair, p, k) == pytest.approx(want, rel=1e-12)
+        xs, xis = sample_phase_points(lc.pair, 5, rng)
+        Ik = integrals_at(lc.pair, xs, xis)
+        for k in range(lc.dim):
+            want = (-1.0) ** (n + k) * fns[m - k - 1].value_batch(xs, xis)
+            assert Ik[:, k] == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def test_shift_zero_reproduces_second_metric(battery_pairs):
     rng = np.random.default_rng(17)
     xs = lc.chart.box_points(10, rng)
     for x in xs:
-        assert np.array_equal(g0.values_at(x), lc.pair.gbar.values_at(x))
+        assert np.array_equal(g0.values(x), lc.pair.gbar.values(x))
 
 
 def test_shift_large_approaches_first_metric(battery_pairs):
@@ -230,16 +228,16 @@ def test_shift_large_approaches_first_metric(battery_pairs):
     m = lc.spec.block_count
     rng = np.random.default_rng(19)
     for x in lc.chart.box_points(5, rng):
-        scaled = gc.values_at(x) * c ** (m + 1)
-        assert np.allclose(scaled, lc.pair.g.values_at(x), rtol=1e-4)
+        scaled = gc.values(x) * c ** (m + 1)
+        assert np.allclose(scaled, lc.pair.g.values(x), rtol=1e-4)
 
 
 def test_shifted_pairs_stay_equivalent(battery_pairs):
     lc = battery_pairs["m2n2"]
     rng = np.random.default_rng(23)
-    starts = map(PhasePoint, *sample_phase_points(lc.pair, 3, rng))
     opts = GeodesicOptions(rtol=1e-10, atol=1e-10)
-    trajs = [integrate_geodesic(lc.pair.g, p, 5.0, opts) for p in starts]
+    trajs = [integrate_geodesic(lc.pair.g, x, xi, 5.0, opts)
+             for x, xi in zip(*sample_phase_points(lc.pair, 3, rng))]
     for c in (0.5, 1.0, 2.0):
         pair_c = MetricPair(lc.pair.g, lc.gc_metric(c), pair_id=f"shift:{c}")
         for traj in trajs:
