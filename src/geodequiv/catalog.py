@@ -42,14 +42,17 @@ from .integrals import MetricPair
 from .levicivita import LCPair, LCSpec, build_pair, lcspec_from_json
 
 
+# relative margins keeping the elliptic chart's domain and its sampling box
+# away from the coordinate walls
+DOMAIN_MARGIN = 0.02
+SAMPLE_MARGIN = 0.15
+
+
 @dataclass(frozen=True)
 class EllipsoidSpec:
-    """Semi-axis parameters of the ellipsoid, plus the relative margins
-    keeping the chart and its sampling box away from the coordinate walls."""
+    """Semi-axis parameters of the ellipsoid."""
 
     semi_axes: tuple[float, ...]
-    domain_margin: float = 0.02
-    sample_margin: float = 0.15
 
     def __post_init__(self):
         a = self.semi_axes
@@ -57,12 +60,6 @@ class EllipsoidSpec:
             raise ValueError("need at least two semi-axis parameters")
         if a[0] <= 0 or any(hi <= lo for lo, hi in zip(a, a[1:])):
             raise ValueError("semi-axis parameters must be positive and strictly increasing")
-        if not 0 < self.domain_margin < self.sample_margin < 0.5:
-            raise ValueError("margins must satisfy 0 < domain < sample < 1/2")
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.semi_axes)
 
     @property
     def dim(self) -> int:
@@ -124,11 +121,11 @@ def _nu_chart(spec: EllipsoidSpec) -> Chart:
     for i in range(n):
         lo, hi = a[i], a[i + 1]
         w = hi - lo
-        dlo, dhi = lo + spec.domain_margin * w, hi - spec.domain_margin * w
+        dlo, dhi = lo + DOMAIN_MARGIN * w, hi - DOMAIN_MARGIN * w
         factors.append(Sub(Var(names[i]), Lit(dlo)))
         factors.append(Sub(Lit(dhi), Var(names[i])))
-        box.append((lo + spec.sample_margin * w, hi - spec.sample_margin * w))
-    return Chart(names, sample_box=tuple(box), domain_factors=tuple(factors))
+        box.append((lo + SAMPLE_MARGIN * w, hi - SAMPLE_MARGIN * w))
+    return Chart(names, domain=tuple(factors), sample_box=tuple(box))
 
 
 def ellipsoid_pair(spec: EllipsoidSpec, pair_id: str | None = None) -> MetricPair:
@@ -211,8 +208,7 @@ def sphere_pair() -> MetricPair:
     names = ("th", "ph")
     lo, hi = 0.2, np.pi - 0.2
     factors = (Sub(Var("th"), Lit(lo)), Sub(Lit(hi), Var("th")))
-    chart = Chart(names, sample_box=((0.4, np.pi - 0.4), (-2.0, 2.0)),
-                  domain_factors=factors)
+    chart = Chart(names, domain=factors, sample_box=((0.4, np.pi - 0.4), (-2.0, 2.0)))
     diag = [Lit(1.0), Mul(Call("sin", Var("th")), Call("sin", Var("th")))]
     g = MetricField.from_diagonal(chart, diag)
     gbar = MetricField.from_diagonal(chart, diag)

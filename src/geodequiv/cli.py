@@ -23,13 +23,13 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .dsl import DslError
+from .dsl import DslError, parse
 from .factory import coeffs_from_closed_form, factory_integrals
 from .geometry import (
     Chart,
@@ -100,52 +100,34 @@ class RunConfig:
         self.seed = int(self.seed)
 
 
-_CONFIG_KEYS = {
-    "pair": "pair",
-    "seed": "seed",
-    "drift_tol": "drift_tol",
-    "bracket_tol": "bracket_tol",
-    "rank_tol": "rank_tol",
-    "trajectories": "trajectories",
-    "t_end": "t_end",
-    "points": "points",
-    "format": "out_format",
-    "out": "out",
-}
+# config-file keys that differ from their RunConfig field (and flag dest)
+_CONFIG_KEYS = {"format": "out_format"}
+
+
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}")
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge the optional --config JSON document with command line flags;
     flags win.  Raises ConfigError with the offending path or key."""
-    doc: dict = {}
+    names = [f.name for f in fields(RunConfig)]
+    kwargs: dict = {}
     if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}")
+        doc = _read_json(args.config)
         if not isinstance(doc, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
-        unknown = set(doc) - set(_CONFIG_KEYS)
+        unknown = set(doc) - set(_CONFIG_KEYS) - (set(names) - set(_CONFIG_KEYS.values()))
         if unknown:
             raise ConfigError(f"config {args.config}: unknown keys {sorted(unknown)}")
-    kwargs = {_CONFIG_KEYS[k]: v for k, v in doc.items()}
-    for flag, attr in [
-        ("pair", "pair"),
-        ("seed", "seed"),
-        ("tol_drift", "drift_tol"),
-        ("tol_bracket", "bracket_tol"),
-        ("t_end", "t_end"),
-        ("trajectories", "trajectories"),
-        ("points", "points"),
-        ("format", "out_format"),
-        ("out", "out"),
-    ]:
-        v = getattr(args, flag, None)
-        if v is not None:
-            kwargs[attr] = v
+        kwargs = {_CONFIG_KEYS.get(k, k): v for k, v in doc.items()}
+    kwargs.update({k: getattr(args, k) for k in names if getattr(args, k, None) is not None})
     if "pair" not in kwargs:
         raise ConfigError("no pair given: use --pair or a config with a pair entry")
     try:
@@ -164,14 +146,14 @@ def pair_from_inline(doc: dict) -> MetricPair:
         names = tuple(str(c) for c in doc["coordinates"])
     except (KeyError, TypeError):
         raise ConfigError('inline pair needs a "coordinates" list')
-    box = None
     if doc.get("box") is not None:
         box = tuple((float(lo), float(hi)) for lo, hi in doc["box"])
     else:
         box = tuple((-1.0, 1.0) for _ in names)
-    chart = Chart(names, sample_box=box)
+    domain = None
     if doc.get("domain") is not None:
-        chart = Chart(names, domain=chart.parse(str(doc["domain"])), sample_box=box)
+        domain = (parse(str(doc["domain"]), names),)
+    chart = Chart(names, domain=domain, sample_box=box)
 
     n = len(names)
 
@@ -264,6 +246,35 @@ def _stamp() -> str:
 
 
 # ---------------------------------------------------------------------------
+# the shared parts of verify and factory
+
+
+def _integrate_starts(pair: MetricPair, cfg: RunConfig, rng: np.random.Generator) -> list:
+    """g-geodesics from cfg.trajectories seeded starts, over [0, cfg.t_end]."""
+    # the integrator's own energy self-check runs looser than the conservation
+    # tolerance: near chart walls RK45 at 1e-10 legitimately accumulates ~1e-8
+    # relative energy error, which the drift check judges, not the gate
+    opts = GeodesicOptions(energy_tol=1e-7)
+    return [integrate_geodesic(pair.g, x, xi, cfg.t_end, opts)
+            for x, xi in zip(*sample_phase_points(pair, cfg.trajectories, rng))]
+
+
+def _check(name: str, value: float, tol: float) -> dict:
+    """The row of a check that passes when value <= tol."""
+    return {"name": name, "value": value, "tol": tol, "pass": value <= tol}
+
+
+def _finish(command: str, pair: MetricPair, cfg: RunConfig, checks: list, **body) -> tuple[dict, int]:
+    """The report of a checking command, and its exit code: 1 when any check
+    failed."""
+    violations = [c["name"] for c in checks if not c["pass"]]
+    report = {"command": command, "pair": pair.pair_id, "dim": pair.dim, "seed": cfg.seed,
+              **body, "checks": checks, "violations": violations, "pass": not violations,
+              "timestamp": _stamp()}
+    return report, 1 if violations else 0
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 
@@ -272,13 +283,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     brackets at seeded phase points, and the independence rank."""
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
-    # the integrator's own energy self-check runs looser than the conservation
-    # tolerance: near chart walls RK45 at 1e-10 legitimately accumulates ~1e-8
-    # relative energy error, which the drift check judges, not the gate
-    opts = GeodesicOptions(energy_tol=1e-7)
     rows = []
-    for pid, (x, xi) in enumerate(zip(*sample_phase_points(pair, cfg.trajectories, rng))):
-        traj = integrate_geodesic(pair.g, x, xi, cfg.t_end, opts)
+    for pid, traj in enumerate(_integrate_starts(pair, cfg, rng)):
         drifts = conservation_drift(integrals_at(pair, traj.xs, traj.xis))
         rows.append({
             "point_id": pid,
@@ -301,33 +307,20 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     rank = independence_rank(jac, rank_tol=cfg.rank_tol)
 
     checks = [
-        {"name": "conservation", "value": drift_max, "tol": cfg.drift_tol,
-         "pass": drift_max <= cfg.drift_tol},
-        {"name": "involution", "value": bracket_max, "tol": cfg.bracket_tol,
-         "pass": bracket_max <= cfg.bracket_tol},
-        {"name": "involution-diagonal", "value": diag_max, "tol": 0.0,
-         "pass": diag_max == 0.0},
+        _check("conservation", drift_max, cfg.drift_tol),
+        _check("involution", bracket_max, cfg.bracket_tol),
+        _check("involution-diagonal", diag_max, 0.0),
         {"name": "independence-rank", "value": float(rank), "tol": float(m_required),
          "pass": rank >= m_required},
     ]
-    violations = [c["name"] for c in checks if not c["pass"]]
-    report = {
-        "command": "verify",
-        "pair": pair.pair_id,
-        "dim": pair.dim,
-        "seed": cfg.seed,
-        "tolerances": {"drift": cfg.drift_tol, "bracket": cfg.bracket_tol,
-                       "rank": cfg.rank_tol},
-        "trajectories": rows,
-        "involution": {"max_offdiagonal": bracket_max, "max_diagonal": diag_max,
-                       "points": cfg.points},
-        "independence": {"rank": int(rank), "required": int(m_required)},
-        "checks": checks,
-        "violations": violations,
-        "pass": not violations,
-        "timestamp": _stamp(),
-    }
-    return report, 0 if not violations else 1
+    return _finish(
+        "verify", pair, cfg, checks,
+        tolerances={"drift": cfg.drift_tol, "bracket": cfg.bracket_tol, "rank": cfg.rank_tol},
+        trajectories=rows,
+        involution={"max_offdiagonal": bracket_max, "max_diagonal": diag_max,
+                    "points": cfg.points},
+        independence={"rank": int(rank), "required": int(m_required)},
+    )
 
 
 def _verify_csv(report: dict) -> str:
@@ -377,9 +370,7 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
 
     # conservation: integrate every start, then take the factory route once
     # over every step-th sample of all trajectories
-    opts = GeodesicOptions(energy_tol=1e-7)
-    trajs = [integrate_geodesic(pair.g, x, xi, cfg.t_end, opts)
-             for x, xi in zip(*sample_phase_points(pair, cfg.trajectories, rng))]
+    trajs = _integrate_starts(pair, cfg, rng)
     picks = [np.arange(0, len(t), max(1, len(t) // 50)) for t in trajs]
     fc = factory_integrals(pair, np.concatenate([t.xs[k] for t, k in zip(trajs, picks)]),
                            np.concatenate([t.xis[k] for t, k in zip(trajs, picks)]))
@@ -391,27 +382,11 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
     drift_max = max(max(r["coeff_drift"]) for r in traj_rows)
 
     checks = [
-        {"name": "factory-remainder", "value": rem_max,
-         "tol": FACTORY_REMAINDER_TOL, "pass": rem_max <= FACTORY_REMAINDER_TOL},
-        {"name": "factory-crosscheck", "value": cross_max,
-         "tol": FACTORY_CROSSCHECK_TOL, "pass": cross_max <= FACTORY_CROSSCHECK_TOL},
-        {"name": "factory-conservation", "value": drift_max,
-         "tol": cfg.drift_tol, "pass": drift_max <= cfg.drift_tol},
+        _check("factory-remainder", rem_max, FACTORY_REMAINDER_TOL),
+        _check("factory-crosscheck", cross_max, FACTORY_CROSSCHECK_TOL),
+        _check("factory-conservation", drift_max, cfg.drift_tol),
     ]
-    violations = [c["name"] for c in checks if not c["pass"]]
-    report = {
-        "command": "factory",
-        "pair": pair.pair_id,
-        "dim": pair.dim,
-        "seed": cfg.seed,
-        "points": rows,
-        "conservation": traj_rows,
-        "checks": checks,
-        "violations": violations,
-        "pass": not violations,
-        "timestamp": _stamp(),
-    }
-    return report, 0 if not violations else 1
+    return _finish("factory", pair, cfg, checks, points=rows, conservation=traj_rows)
 
 
 def _factory_csv(report: dict) -> str:
@@ -491,14 +466,7 @@ def cmd_lc_build(config_path: str, out: str | None) -> int:
     """Build a normal-form pair from its JSON config and emit the equivalent
     inline metric-pair config (DSL strings keyed g[i][j] / gbar[i][j])."""
     try:
-        with open(config_path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {config_path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {config_path} is not valid JSON: {exc}")
-    try:
-        lc = build_pair(lcspec_from_json(doc))
+        lc = build_pair(lcspec_from_json(_read_json(config_path)))
     except (ValueError, DslError) as exc:
         raise ConfigError(f"normal-form build failed: {exc}")
     chart = lc.chart
@@ -555,35 +523,57 @@ def _build_parser() -> argparse.ArgumentParser:
         description="first integrals of geodesic flows from equivalent metric pairs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_tols: bool = True):
+    # flag dests are the RunConfig field names
+    for name, info in (("verify", "conservation/involution/rank suite"),
+                       ("factory", "quotient-coefficient cross-checks"),
+                       ("geodesic", "trajectory export and curve comparison")):
+        p = sub.add_parser(name, help=info)
         p.add_argument("--pair", help="catalog pair name (see the catalog subcommand)")
         p.add_argument("--config", help="JSON run-config path")
         p.add_argument("--seed", type=int, help="PRNG seed, echoed in the report")
-        if with_tols:
-            p.add_argument("--tol-drift", type=float, dest="tol_drift",
-                           help="conservation tolerance (default 1e-6)")
-            p.add_argument("--tol-bracket", type=float, dest="tol_bracket",
-                           help="involution tolerance (default 1e-8)")
+        p.add_argument("--tol-drift", type=float, dest="drift_tol",
+                       help="conservation tolerance (default 1e-6)")
+        p.add_argument("--tol-bracket", type=float, dest="bracket_tol",
+                       help="involution tolerance (default 1e-8)")
         p.add_argument("--t-end", type=float, dest="t_end",
                        help="integration time / arc-length window (default 5)")
         p.add_argument("--trajectories", type=int, help="geodesic count (default 20)")
         p.add_argument("--points", type=int, help="phase sample count (default 100)")
-        p.add_argument("--format", choices=("json", "csv"), help="report format")
+        p.add_argument("--format", choices=("json", "csv"), dest="out_format",
+                       help="report format")
         p.add_argument("--out", help="output path (directory for geodesic)")
-
-    add_common(sub.add_parser("verify", help="conservation/involution/rank suite"))
-    add_common(sub.add_parser("factory", help="quotient-coefficient cross-checks"))
-    add_common(sub.add_parser("geodesic", help="trajectory export and curve comparison"))
 
     lcb = sub.add_parser("levi-civita-build", help="normal-form pair to metric config")
     lcb.add_argument("--config", required=True, help="normal-form JSON config path")
     lcb.add_argument("--out", help="output path (default stdout)")
 
     cat = sub.add_parser("catalog", help="list built-in pairs")
-    cat.add_argument("--format", choices=("json", "csv"), default="json")
+    cat.add_argument("--format", choices=("json", "csv"), default="json", dest="out_format")
     cat.add_argument("--out", help="output path (default stdout)")
     return parser
+
+
+def _report(args: argparse.Namespace, command, to_csv) -> int:
+    """Run a report command on the merged config and emit its report; geodesic
+    (no to_csv) prints it only when it has no --out directory to write into."""
+    cfg = load_config(args)
+    report, code = command(cfg)
+    if to_csv is not None:
+        _emit(to_csv(report) if cfg.out_format == "csv" else _report_json(report), cfg.out)
+    elif cfg.out is None:
+        _emit(_report_json(report), None)
+    return code
+
+
+# subcommand -> handler of its parsed arguments; the handlers look the cmd_*
+# functions up when called, so a rebound one is the one that runs
+_COMMANDS = {
+    "verify": lambda args: _report(args, cmd_verify, _verify_csv),
+    "factory": lambda args: _report(args, cmd_factory, _factory_csv),
+    "geodesic": lambda args: _report(args, cmd_geodesic, None),
+    "levi-civita-build": lambda args: cmd_lc_build(args.config, args.out),
+    "catalog": lambda args: cmd_catalog(args.out_format, args.out),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -594,27 +584,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep the contract
         return int(exc.code or 0)
     try:
-        if args.command == "catalog":
-            return cmd_catalog(args.format, args.out)
-        if args.command == "levi-civita-build":
-            return cmd_lc_build(args.config, args.out)
-        cfg = load_config(args)
-        if args.command == "verify":
-            report, code = cmd_verify(cfg)
-            text = _verify_csv(report) if cfg.out_format == "csv" else _report_json(report)
-            _emit(text, cfg.out)
-            return code
-        if args.command == "factory":
-            report, code = cmd_factory(cfg)
-            text = _factory_csv(report) if cfg.out_format == "csv" else _report_json(report)
-            _emit(text, cfg.out)
-            return code
-        if args.command == "geodesic":
-            report, code = cmd_geodesic(cfg)
-            if cfg.out is None:
-                _emit(_report_json(report), None)
-            return code
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

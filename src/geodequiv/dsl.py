@@ -19,10 +19,9 @@ same operations as the `Dual1` walk without its per-call tree traversal;
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -541,6 +540,23 @@ def dual1_seeds(x: Sequence[float], nvars: int | None = None, offset: int = 0) -
     n = x.shape[-1]
     total = n if nvars is None else nvars
     return [Dual1.seed(x[..., i], offset + i, total) for i in range(n)]
+
+
+def phase_jacobian(fn: Callable, xs, xis) -> np.ndarray:
+    """Differentials in (x, xi) of the m outputs of fn(x_cells, xi_cells), by
+    one forward dual pass over phase points xs, xis of shape (..., n).
+
+    Returns shape (..., m, 2n), the x slots first; an output that does not
+    depend on (x, xi) gets a zero row.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n = xs.shape[-1]
+    outs = fn(dual1_seeds(xs, nvars=2 * n), dual1_seeds(xis, nvars=2 * n, offset=n))
+    jac = np.zeros(xs.shape[:-1] + (len(outs), 2 * n))
+    for k, out in enumerate(outs):
+        if isinstance(out, Dual1):
+            jac[..., k, :] = out.grad
+    return jac
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dsl, matops
-from .dsl import Dual1, d_sqrt
+from .dsl import d_sqrt
 from .geometry import MetricField
 from .integrals import MetricPair, integrals_at
 
@@ -124,20 +124,11 @@ class FormMatrix:
 # every leading axis is a batch axis, and a single point is the (n,) case.
 
 
-def _theta_jacobians(theta_fn: Callable, n: int, x, xi) -> tuple[np.ndarray, np.ndarray]:
-    """d theta_i / dx^k and d theta_i / dxi^k by a dual pass through theta."""
-    x_cells = dsl.dual1_seeds(x, nvars=2 * n, offset=0)
-    xi_cells = dsl.dual1_seeds(xi, nvars=2 * n, offset=n)
-    theta = theta_fn(x_cells, xi_cells)
-    jac = np.zeros(np.shape(x)[:-1] + (n, 2 * n))
-    for i, th in enumerate(theta):
-        if isinstance(th, Dual1):
-            jac[..., i, :] = th.grad
-    return jac[..., :n], jac[..., n:]
-
-
 def _form_from_theta(theta_fn: Callable, n: int, x, xi) -> FormMatrix:
-    dx, dxi = _theta_jacobians(theta_fn, n, x, xi)
+    """d theta for the 1-form theta_i dx^i, from d theta_i / dx^k and
+    d theta_i / dxi^k."""
+    jac = dsl.phase_jacobian(theta_fn, x, xi)
+    dx, dxi = jac[..., :n], jac[..., n:]
     upper = np.zeros(dx.shape[:-2] + (2 * n, 2 * n))
     upper[..., :n, :n] = dx - dx.swapaxes(-1, -2)  # (k, i): d_i theta_k - d_k theta_i
     upper[..., :n, n:] = dxi  # (x_i, xi_k) block equals d theta_i / dxi^k

@@ -33,38 +33,26 @@ class IntegrationError(RuntimeError):
 class Chart:
     """A named coordinate chart.
 
-    domain, when present, is an expression over the coordinates; a point lies
-    inside the chart iff the expression evaluates to a positive number.
-    domain_factors is the conjunction form of the same predicate (all factors
-    positive): products of factors change sign twice across a corner where
-    two factors flip at once, so domain tests and the integration exit event
-    prefer the factor list when it is available.  When only the factors are
-    given, domain is derived as their product.
+    domain, when present, is the tuple of expressions over the coordinates
+    that must all be positive at a point inside the chart.  A product of them
+    would change sign twice across a corner where two factors flip at once,
+    so domain tests and the integration exit event take the smallest factor.
     sample_box gives per-coordinate (lo, hi) ranges used for seeded sampling
     and positivity spot checks.
     """
 
     names: tuple[str, ...]
-    domain: Expression | None = None
+    domain: tuple[Expression, ...] | None = None
     sample_box: tuple[tuple[float, float], ...] | None = None
-    domain_factors: tuple[Expression, ...] | None = None
 
     def __post_init__(self):
         if len(self.names) < 1:
             raise ValueError("chart needs at least one coordinate")
         if len(set(self.names)) != len(self.names):
             raise ValueError("chart coordinate names must be distinct")
-        if self.domain_factors is not None:
-            for f in self.domain_factors:
-                if not f.variables() <= set(self.names):
-                    raise ValueError("domain factor references undeclared coordinates")
-            if self.domain is None:
-                prod = self.domain_factors[0]
-                for f in self.domain_factors[1:]:
-                    prod = dsl.Mul(prod, f)
-                object.__setattr__(self, "domain", prod)
-        if self.domain is not None and not self.domain.variables() <= set(self.names):
-            raise ValueError("domain expression references undeclared coordinates")
+        if self.domain is not None and not all(f.variables() <= set(self.names)
+                                               for f in self.domain):
+            raise ValueError("domain factor references undeclared coordinates")
         if self.sample_box is not None and len(self.sample_box) != len(self.names):
             raise ValueError("sample_box must give one interval per coordinate")
 
@@ -73,23 +61,20 @@ class Chart:
         return len(self.names)
 
     def domain_margin(self, x):
-        """Signed distance proxy: the smallest factor value (or the domain
-        expression itself), positive inside the chart.  x may carry one
-        leading batch axis, giving one margin per point; a single point gives
-        a float."""
+        """Signed distance proxy: the smallest domain factor, positive inside
+        the chart.  x may carry one leading batch axis, giving one margin per
+        point; a single point gives a float."""
         x = np.asarray(x, dtype=float)
         if self.domain is None:
             return np.inf if x.ndim == 1 else np.full(len(x), np.inf)
         env = eval_env(self.names, list(x.T))
-        values = [f.evaluate(env) for f in self.domain_factors or (self.domain,)]
+        values = [f.evaluate(env) for f in self.domain]
         if x.ndim == 1:
             return min(float(v) for v in values)
         return np.min([np.broadcast_to(v, len(x)) for v in values], axis=0)
 
-    def contains(self, x, slack: float = 0.0) -> bool:
-        if self.domain is None:
-            return True
-        return self.domain_margin(x) > -slack
+    def contains(self, x) -> bool:
+        return self.domain is None or self.domain_margin(x) > 0.0
 
     def parse(self, src: str) -> Expression:
         return parse(src, self.names)
@@ -215,10 +200,9 @@ class MetricField:
             slots[k] = v
         return np.take(out, self._value_index, axis=-1), np.take(out, self._grad_index, axis=-1)
 
-    def check_positive_definite(self, samples: int = 32, seed: int = 0) -> None:
-        """Cholesky spot check over the chart's sample box."""
-        rng = np.random.default_rng(seed)
-        for x in self.chart.box_points(samples, rng):
+    def check_positive_definite(self) -> None:
+        """Cholesky spot check at 32 seeded points of the chart's sample box."""
+        for x in self.chart.box_points(32, np.random.default_rng(0)):
             vals = self.values(x)
             try:
                 np.linalg.cholesky(vals)
@@ -312,7 +296,7 @@ class Trajectory:
             raise ValueError("trajectory times must be strictly increasing")
         chart = self.metric.chart
         if chart.domain is not None:
-            # Chart.contains with slack 1e-9, evaluated on all samples at once
+            # the domain test with slack 1e-9, on all samples at once
             outside = np.flatnonzero(~(chart.domain_margin(self.xs) > -1e-9))
             if outside.size:
                 x = self.xs[outside[0]]

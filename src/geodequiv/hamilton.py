@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from . import dsl
-from .dsl import Dual1
 from .geometry import MetricField
 
 
@@ -41,17 +40,8 @@ class PhaseFunction:
         return np.broadcast_to(np.asarray(dsl.scalar_value(out), dtype=float), (xs.shape[0],)).copy()
 
     def grad_batch(self, xs, xis) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        xis = np.asarray(xis, dtype=float)
-        n = self.dim
-        N = xs.shape[0]
-        x_cells = dsl.dual1_seeds(xs, nvars=2 * n, offset=0)
-        xi_cells = dsl.dual1_seeds(xis, nvars=2 * n, offset=n)
-        out = self.fn(x_cells, xi_cells)
-        if not isinstance(out, Dual1):
-            return np.zeros((N, 2 * n))
-        g = np.asarray(out.grad)
-        return np.broadcast_to(g, (N, 2 * n)).copy()
+        """(N, 2n) differentials in (x, xi), by `dsl.phase_jacobian`."""
+        return dsl.phase_jacobian(lambda x, xi: [self.fn(x, xi)], xs, xis)[..., 0, :]
 
     def __mul__(self, other: "PhaseFunction") -> "PhaseFunction":
         if other.dim != self.dim:
@@ -132,8 +122,8 @@ def poisson_bracket(F: PhaseFunction, G: PhaseFunction, metric: MetricField, x, 
     return br.reshape(x.shape[:-1]) if x.ndim > 1 else float(br[0])
 
 
-def conservation_drift(values, floor: float = 1e-12):
-    """max_t |F(t) - F(0)| / max(|F(0)|, floor) for values sampled along a
+def conservation_drift(values):
+    """max_t |F(t) - F(0)| / max(|F(0)|, 1e-12) for values sampled along a
     trajectory: shape (K,) gives one drift, (K, m) one per column."""
     vals = np.asarray(values, dtype=float)
-    return np.max(np.abs(vals - vals[0]), axis=0) / np.maximum(np.abs(vals[0]), floor)
+    return np.max(np.abs(vals - vals[0]), axis=0) / np.maximum(np.abs(vals[0]), 1e-12)

@@ -78,9 +78,9 @@ class MetricPair:
     def dim(self) -> int:
         return self.g.dim
 
-    def check_positive_definite(self, samples: int = 32, seed: int = 0) -> None:
-        self.g.check_positive_definite(samples, seed)
-        self.gbar.check_positive_definite(samples, seed)
+    def check_positive_definite(self) -> None:
+        self.g.check_positive_definite()
+        self.gbar.check_positive_definite()
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +181,8 @@ def integrals_at(pair: MetricPair, xs, xis) -> np.ndarray:
 
 def integrals_jacobian(pair: MetricPair, xs, xis) -> np.ndarray:
     """Differentials of all I_k in (x, xi) at a batch of phase points, by one
-    forward dual-number pass; shape (N, n, 2n)."""
-    xs = np.asarray(xs, dtype=float)
-    xis = np.asarray(xis, dtype=float)
-    n = pair.dim
-    x_cells = dsl.dual1_seeds(xs, nvars=2 * n, offset=0)
-    xi_cells = dsl.dual1_seeds(xis, nvars=2 * n, offset=n)
-    outs = _pipeline(pair, x_cells, xi_cells, range(n))
-    return np.stack([np.broadcast_to(o.grad, (len(xs), 2 * n)) for o in outs], axis=1)
+    `dsl.phase_jacobian` pass; shape (N, n, 2n)."""
+    return dsl.phase_jacobian(lambda x, xi: _pipeline(pair, x, xi, range(pair.dim)), xs, xis)
 
 
 def painleve_I0(pair: MetricPair, x, xi) -> float:

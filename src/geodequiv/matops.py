@@ -164,29 +164,7 @@ def quadratic_form(a: np.ndarray, v) -> object:
 
 
 def values_matrix(a: np.ndarray) -> np.ndarray:
-    """Float matrix of cell values; batched cells give shape (N, n, n).
-
-    Any single batched cell promotes the whole matrix (constant entries are
-    broadcast); all-scalar cells give a plain (n, n) matrix.
-    """
-    n, m = a.shape
-    N = 0
-    for i in range(n):
-        for j in range(m):
-            v = np.asarray(scalar_value(a[i, j]))
-            if v.ndim > 0:
-                N = v.shape[0]
-                break
-        if N:
-            break
-    if N == 0:
-        out = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                out[i, j] = float(scalar_value(a[i, j]))
-        return out
-    out = np.empty((N, n, m))
-    for i in range(n):
-        for j in range(m):
-            out[:, i, j] = np.broadcast_to(np.asarray(scalar_value(a[i, j])), (N,))
-    return out
+    """Float matrix of cell values: (n, m) for scalar cells, and (N, n, m)
+    when any cell is batched, with the constant cells broadcast."""
+    vals = np.broadcast_arrays(*(np.asarray(scalar_value(c), dtype=float) for c in a.flat))
+    return np.stack(vals, axis=-1).reshape(vals[0].shape + a.shape)

@@ -12,7 +12,6 @@ the session fixtures in conftest.
 """
 
 import numpy as np
-import pytest
 
 from geodequiv import (
     EllipsoidSpec,

@@ -6,7 +6,6 @@ All invocations go through main(argv) in-process; stdout is captured per call.
 """
 
 import json
-import os
 import re
 
 import numpy as np
@@ -144,10 +143,31 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "pair": "lc-demo:m2n2", "seed": 11, "trajectories": 2, "points": 5,
+        "drift_tol": 1e-3, "bracket_tol": 1e-4, "rank_tol": 1e-6, "t_end": 2.0,
+        "format": "csv",
     }))
-    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--seed", "99")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--seed", "99",
+                           "--format", "json")
     assert code == 0
     assert json.loads(out)["seed"] == 99
+
+    # every value from the file: a csv report, one row per trajectory
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0].startswith("point_id,drift_I0") and len(lines) == 3
+
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--format", "json")
+    doc = json.loads(out)
+    assert doc["seed"] == 11
+    assert doc["tolerances"] == {"drift": 1e-3, "bracket": 1e-4, "rank": 1e-6}
+    assert [r["t_reached"] for r in doc["trajectories"]] == [2.0, 2.0]
+
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--format", "json",
+                           "--tol-drift", "2e-3", "--tol-bracket", "3e-4", "--t-end", "1.5")
+    doc = json.loads(out)
+    assert doc["tolerances"] == {"drift": 2e-3, "bracket": 3e-4, "rank": 1e-6}
+    assert [r["t_reached"] for r in doc["trajectories"]] == [1.5, 1.5]
 
 
 def test_config_unknown_key_rejected(capsys, tmp_path):
@@ -391,6 +411,13 @@ INLINE_DISC = {
     "domain": "1 - u^2 - v^2", "g[1][1]": "1", "g[2][2]": "2 + u",
     "gbar[1][1]": "1", "gbar[2][2]": "2 + u",
 }
+
+
+def test_inline_domain_is_a_one_factor_tuple():
+    from geodequiv.dsl import parse
+
+    pair = pair_from_inline(INLINE_DISC)
+    assert pair.chart.domain == (parse("1 - u^2 - v^2", ("u", "v")),)
 
 
 class StreamRng:

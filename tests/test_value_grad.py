@@ -1,17 +1,21 @@
-"""Compiled metric entries against the Dual1 tree walk.
+"""Compiled metric entries against the Dual1 tree walk, and the one (x, xi)
+dual pass against an inline one.
 
 `MetricField.values_and_grads` runs code generated by
-`dsl.compile_value_grad`.  The tree walk with `Dual1` seeds, which the
-factory, hamilton and catalog modules still use, is the reference: the two
-must agree bit for bit, at single points and on batches, and raise the same
-domain errors.
+`dsl.compile_value_grad`.  The tree walk with `Dual1` seeds, which
+`dsl.phase_jacobian` and the catalog module still use, is the reference: the
+two must agree bit for bit, at single points and on batches, and raise the
+same domain errors.  `dsl.phase_jacobian` feeds `integrals_jacobian`,
+`PhaseFunction.grad_batch` and the factory forms; each must be bitwise the
+dual pass written out inline.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geodequiv import resolve_pair
+from geodequiv import factory, integrals, matops, resolve_pair
+from geodequiv.cli import sample_phase_points
 from geodequiv.dsl import (
     Add,
     Call,
@@ -28,6 +32,7 @@ from geodequiv.dsl import (
     pow_expr,
 )
 from geodequiv.geometry import Chart, MetricField
+from geodequiv.hamilton import PhaseFunction, hamiltonian
 
 PAIRS = (
     "sphere",
@@ -151,3 +156,68 @@ def test_variable_free_entries_have_zero_gradients():
     vals, grads = metric.values_and_grads(xs)
     assert vals[0, 0, 0] == np.exp(1.0) + 8.0
     assert not grads[:, 0].any()
+
+
+# ---------------------------------------------------------------------------
+# the (x, xi) dual pass
+
+
+def reference_jacobian(fn, xs, xis):
+    """The dual pass written out: 2n seeded Dual1 cells, then each output's
+    gradient broadcast over the batch axes, a zero row for a plain value."""
+    xs, xis = np.asarray(xs, dtype=float), np.asarray(xis, dtype=float)
+    n = xs.shape[-1]
+    x_cells = [Dual1.seed(xs[..., i], i, 2 * n) for i in range(n)]
+    xi_cells = [Dual1.seed(xis[..., i], n + i, 2 * n) for i in range(n)]
+    rows = [np.broadcast_to(out.grad if isinstance(out, Dual1) else 0.0, xs.shape[:-1] + (2 * n,))
+            for out in fn(x_cells, xi_cells)]
+    return np.stack(rows, axis=-2)
+
+
+def phase_sample(name, count, shape=None):
+    pair = resolve_pair(name)
+    xs, xis = sample_phase_points(pair, count, np.random.default_rng(41))
+    if shape is not None:
+        xs, xis = xs.reshape(shape + (pair.dim,)), xis.reshape(shape + (pair.dim,))
+    return pair, xs, xis
+
+
+@pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "lc-demo:m3n4"])
+def test_integrals_jacobian_is_the_reference_dual_pass(name):
+    pair, xs, xis = phase_sample(name, 7)
+    want = reference_jacobian(
+        lambda x, xi: integrals._pipeline(pair, x, xi, range(pair.dim)), xs, xis)
+    got = integrals.integrals_jacobian(pair, xs, xis)
+    assert got.shape == (7, pair.dim, 2 * pair.dim)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_grad_batch_of_a_constant_is_zero_rows():
+    pair, xs, xis = phase_sample("sphere", 5)
+    constant = PhaseFunction(lambda x, xi: 2.5, pair.dim)
+    got = constant.grad_batch(xs, xis)
+    assert got.shape == (5, 4) and not got.any()
+    assert got.tobytes() == reference_jacobian(lambda x, xi: [2.5], xs, xis)[:, 0].tobytes()
+    H = hamiltonian(pair.g)
+    want = reference_jacobian(lambda x, xi: [H.fn(x, xi)], xs, xis)[:, 0]
+    assert H.grad_batch(xs, xis).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "lc-demo:m3n4"])
+def test_factory_forms_are_the_reference_dual_pass(name):
+    pair, xs, xis = phase_sample(name, 6, shape=(2, 3))
+    n = pair.dim
+
+    def form(theta):
+        jac = reference_jacobian(theta, xs, xis)
+        dx, dxi = jac[..., :n], jac[..., n:]
+        upper = np.zeros((2, 3, 2 * n, 2 * n))
+        upper[..., :n, :n] = dx - dx.swapaxes(-1, -2)
+        upper[..., :n, n:] = dxi
+        return upper.tobytes()
+
+    omega = factory.omega_g_at(pair.g, xs, xis).upper
+    assert omega.shape == (2, 3, 2 * n, 2 * n)
+    assert omega.tobytes() == form(lambda x, xi: matops.matvec(pair.g.eval_cells(x), xi))
+    pulled = factory.pullback_phi_omega(pair, xs, xis).upper
+    assert pulled.tobytes() == form(factory._pullback_theta(pair))
