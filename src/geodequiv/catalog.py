@@ -208,7 +208,8 @@ def sphere_pair() -> MetricPair:
     names = ("th", "ph")
     lo, hi = 0.2, np.pi - 0.2
     factors = (Sub(Var("th"), Lit(lo)), Sub(Lit(hi), Var("th")))
-    chart = Chart(names, domain=factors, sample_box=((0.4, np.pi - 0.4), (-2.0, 2.0)))
+    chart = Chart(names, domain=factors,
+                  sample_box=((0.4, np.pi - 0.4), (-2.0, 2.0)))
     diag = [Lit(1.0), Mul(Call("sin", Var("th")), Call("sin", Var("th")))]
     g = MetricField.from_diagonal(chart, diag)
     gbar = MetricField.from_diagonal(chart, diag)

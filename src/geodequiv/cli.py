@@ -268,9 +268,17 @@ def _finish(command: str, pair: MetricPair, cfg: RunConfig, checks: list, **body
     """The report of a checking command, and its exit code: 1 when any check
     failed."""
     violations = [c["name"] for c in checks if not c["pass"]]
-    report = {"command": command, "pair": pair.pair_id, "dim": pair.dim, "seed": cfg.seed,
-              **body, "checks": checks, "violations": violations, "pass": not violations,
-              "timestamp": _stamp()}
+    report = {
+        "command": command,
+        "pair": pair.pair_id,
+        "dim": pair.dim,
+        "seed": cfg.seed,
+        **body,
+        "checks": checks,
+        "violations": violations,
+        "pass": not violations,
+        "timestamp": _stamp(),
+    }
     return report, 1 if violations else 0
 
 
@@ -315,7 +323,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     ]
     return _finish(
         "verify", pair, cfg, checks,
-        tolerances={"drift": cfg.drift_tol, "bracket": cfg.bracket_tol, "rank": cfg.rank_tol},
+        tolerances={"drift": cfg.drift_tol, "bracket": cfg.bracket_tol,
+                    "rank": cfg.rank_tol},
         trajectories=rows,
         involution={"max_offdiagonal": bracket_max, "max_diagonal": diag_max,
                     "points": cfg.points},
@@ -553,29 +562,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(args: argparse.Namespace, command, to_csv) -> int:
-    """Run a report command on the merged config and emit its report; geodesic
-    (no to_csv) prints it only when it has no --out directory to write into."""
-    cfg = load_config(args)
-    report, code = command(cfg)
-    if to_csv is not None:
-        _emit(to_csv(report) if cfg.out_format == "csv" else _report_json(report), cfg.out)
-    elif cfg.out is None:
-        _emit(_report_json(report), None)
-    return code
-
-
-# subcommand -> handler of its parsed arguments; the handlers look the cmd_*
-# functions up when called, so a rebound one is the one that runs
-_COMMANDS = {
-    "verify": lambda args: _report(args, cmd_verify, _verify_csv),
-    "factory": lambda args: _report(args, cmd_factory, _factory_csv),
-    "geodesic": lambda args: _report(args, cmd_geodesic, None),
-    "levi-civita-build": lambda args: cmd_lc_build(args.config, args.out),
-    "catalog": lambda args: cmd_catalog(args.out_format, args.out),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -584,7 +570,21 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep the contract
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "catalog":
+            return cmd_catalog(args.out_format, args.out)
+        if args.command == "levi-civita-build":
+            return cmd_lc_build(args.config, args.out)
+        cfg = load_config(args)
+        if args.command == "geodesic":
+            report, code = cmd_geodesic(cfg)
+            if cfg.out is None:  # with --out, summary.json holds the report
+                _emit(_report_json(report), None)
+            return code
+        command, to_csv = {"verify": (cmd_verify, _verify_csv),
+                           "factory": (cmd_factory, _factory_csv)}[args.command]
+        report, code = command(cfg)
+        _emit(to_csv(report) if cfg.out_format == "csv" else _report_json(report), cfg.out)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -534,12 +534,11 @@ def eval_env(names: Sequence[str], cells: Sequence) -> dict:
     return dict(zip(names, cells))
 
 
-def dual1_seeds(x: Sequence[float], nvars: int | None = None, offset: int = 0) -> list[Dual1]:
+def dual1_seeds(x: Sequence[float]) -> list[Dual1]:
     """One Dual1 per component of x, seeded at consecutive variable slots."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    total = n if nvars is None else nvars
-    return [Dual1.seed(x[..., i], offset + i, total) for i in range(n)]
+    return [Dual1.seed(x[..., i], i, n) for i in range(n)]
 
 
 def phase_jacobian(fn: Callable, xs, xis) -> np.ndarray:
@@ -550,8 +549,10 @@ def phase_jacobian(fn: Callable, xs, xis) -> np.ndarray:
     depend on (x, xi) gets a zero row.
     """
     xs = np.asarray(xs, dtype=float)
+    xis = np.asarray(xis, dtype=float)
     n = xs.shape[-1]
-    outs = fn(dual1_seeds(xs, nvars=2 * n), dual1_seeds(xis, nvars=2 * n, offset=n))
+    outs = fn([Dual1.seed(xs[..., i], i, 2 * n) for i in range(n)],
+              [Dual1.seed(xis[..., i], n + i, 2 * n) for i in range(n)])
     jac = np.zeros(xs.shape[:-1] + (len(outs), 2 * n))
     for k, out in enumerate(outs):
         if isinstance(out, Dual1):

@@ -50,6 +50,8 @@ class Chart:
             raise ValueError("chart needs at least one coordinate")
         if len(set(self.names)) != len(self.names):
             raise ValueError("chart coordinate names must be distinct")
+        if self.domain is not None and not isinstance(self.domain, tuple):
+            raise ValueError("chart domain must be a tuple of factor expressions")
         if self.domain is not None and not all(f.variables() <= set(self.names)
                                                for f in self.domain):
             raise ValueError("domain factor references undeclared coordinates")
@@ -74,7 +76,9 @@ class Chart:
         return np.min([np.broadcast_to(v, len(x)) for v in values], axis=0)
 
     def contains(self, x) -> bool:
-        return self.domain is None or self.domain_margin(x) > 0.0
+        if self.domain is None:
+            return True
+        return self.domain_margin(x) > 0.0
 
     def parse(self, src: str) -> Expression:
         return parse(src, self.names)
@@ -202,7 +206,8 @@ class MetricField:
 
     def check_positive_definite(self) -> None:
         """Cholesky spot check at 32 seeded points of the chart's sample box."""
-        for x in self.chart.box_points(32, np.random.default_rng(0)):
+        rng = np.random.default_rng(0)
+        for x in self.chart.box_points(32, rng):
             vals = self.values(x)
             try:
                 np.linalg.cholesky(vals)

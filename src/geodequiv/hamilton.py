@@ -116,7 +116,7 @@ def poisson_bracket(F: PhaseFunction, G: PhaseFunction, metric: MetricField, x, 
     n = F.dim
     xs = x.reshape(-1, n)
     xis = np.asarray(xi, dtype=float).reshape(-1, n)
-    jac = np.stack([F.grad_batch(xs, xis), G.grad_batch(xs, xis)], axis=1)
+    jac = dsl.phase_jacobian(lambda x, xi: [F.fn(x, xi), G.fn(x, xi)], xs, xis)
     Cx, Cp = canonical_gradients(jac, metric, xs, xis)
     br = bracket(Cx[:, 0], Cp[:, 0], Cx[:, 1], Cp[:, 1])
     return br.reshape(x.shape[:-1]) if x.ndim > 1 else float(br[0])

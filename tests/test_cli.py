@@ -143,14 +143,19 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "pair": "lc-demo:m2n2", "seed": 11, "trajectories": 2, "points": 5,
-        "drift_tol": 1e-3, "bracket_tol": 1e-4, "rank_tol": 1e-6, "t_end": 2.0,
-        "format": "csv",
     }))
-    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--seed", "99",
-                           "--format", "json")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--seed", "99")
     assert code == 0
     assert json.loads(out)["seed"] == 99
 
+
+def test_config_file_values_and_their_flag_overrides(capsys, tmp_path):
+    cfg = tmp_path / "tols.json"
+    cfg.write_text(json.dumps({
+        "pair": "lc-demo:m2n2", "seed": 11, "trajectories": 2, "points": 5,
+        "drift_tol": 1e-3, "bracket_tol": 1e-4, "rank_tol": 1e-6, "t_end": 2.0,
+        "format": "csv",
+    }))
     # every value from the file: a csv report, one row per trajectory
     code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == 0

@@ -89,6 +89,11 @@ def test_chart_rejects_factor_with_foreign_variable():
               domain=(parse("v", ("v",)),))
 
 
+def test_chart_rejects_bare_domain_expression():
+    with pytest.raises(ValueError, match="tuple of factor expressions"):
+        Chart(("u", "v"), domain=parse("1 - u^2 - v^2", ("u", "v")))
+
+
 def test_box_points_respect_domain():
     chart = Chart(("u", "v"), domain=(parse("1 - u^2 - v^2", ("u", "v")),),
                   sample_box=((-0.99, 0.99), (-0.99, 0.99)))
