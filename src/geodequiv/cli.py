@@ -89,6 +89,9 @@ class RunConfig:
         for name in ("drift_tol", "bracket_tol", "rank_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("trajectories", "points"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer")
         if self.trajectories < 1:
             raise ConfigError("trajectory count must be at least 1")
         if self.points < 1:
@@ -147,7 +150,10 @@ def pair_from_inline(doc: dict) -> MetricPair:
     except (KeyError, TypeError):
         raise ConfigError('inline pair needs a "coordinates" list')
     if doc.get("box") is not None:
-        box = tuple((float(lo), float(hi)) for lo, hi in doc["box"])
+        try:
+            box = tuple((float(lo), float(hi)) for lo, hi in doc["box"])
+        except (TypeError, ValueError):
+            raise ConfigError('inline pair: "box" must be a list of [lo, hi] pairs')
     else:
         box = tuple((-1.0, 1.0) for _ in names)
     domain = None
@@ -301,7 +307,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
             "left_domain": bool(traj.left_domain),
             "t_reached": float(traj.ts[-1]),
         })
-    drift_max = max(max(r["drift"]) for r in rows)
+    drift_max = float(np.max([r["drift"] for r in rows]))
 
     xs, xis = sample_phase_points(pair, cfg.points, rng)
     jac = integrals_jacobian(pair, xs, xis)
@@ -363,7 +369,7 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
     fi = factory_integrals(pair, xs, xis)
     closed = coeffs_from_closed_form(pair, xs, xis)
     rows = []
-    for pid, coeffs in enumerate(fi.coeffs.coeffs):
+    for pid, coeffs in enumerate(fi.coeffs):
         scale = float(np.linalg.norm(coeffs))
         rows.append({
             "point_id": pid,
@@ -374,8 +380,8 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
             "remainder_rel": float(abs(fi.remainder[pid]) / scale),
             "crosscheck": float(np.max(np.abs(coeffs - closed[pid]))),
         })
-    rem_max = max(r["remainder_rel"] for r in rows)
-    cross_max = max(r["crosscheck"] for r in rows)
+    rem_max = float(np.max([r["remainder_rel"] for r in rows]))
+    cross_max = float(np.max([r["crosscheck"] for r in rows]))
 
     # conservation: integrate every start, then take the factory route once
     # over every step-th sample of all trajectories
@@ -385,10 +391,10 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
                            np.concatenate([t.xis[k] for t, k in zip(trajs, picks)]))
     splits = np.cumsum([len(k) for k in picks])[:-1]
     traj_rows = []
-    for pid, cs in enumerate(np.split(fc.coeffs.coeffs, splits)):
+    for pid, cs in enumerate(np.split(fc.coeffs, splits)):
         drift = conservation_drift(cs)
         traj_rows.append({"point_id": pid, "coeff_drift": [float(d) for d in drift]})
-    drift_max = max(max(r["coeff_drift"]) for r in traj_rows)
+    drift_max = float(np.max([r["coeff_drift"] for r in traj_rows]))
 
     checks = [
         _check("factory-remainder", rem_max, FACTORY_REMAINDER_TOL),
@@ -450,7 +456,6 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
         return row
 
     rows = _pmap(one_direction, list(enumerate(starts)))
-    rows.sort(key=lambda r: r["point_id"])
     report = {
         "command": "geodesic",
         "pair": pair.pair_id,
@@ -458,7 +463,7 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
         "seed": cfg.seed,
         "t_end": cfg.t_end,
         "directions": rows,
-        "curve_distance_max": max(r["curve_distance"] for r in rows),
+        "curve_distance_max": float(np.max([r["curve_distance"] for r in rows])),
         "warnings": [r["point_id"] for r in rows if "warning" in r],
         "timestamp": _stamp(),
     }

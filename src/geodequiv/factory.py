@@ -97,26 +97,6 @@ def _is_skew(A: np.ndarray) -> bool:
     return bool(close)
 
 
-@dataclass(frozen=True, eq=False)
-class FormMatrix:
-    """A 2-form on phase space, or a stack of them, stored by the strictly
-    upper triangle so the full matrix is skew-symmetric by construction."""
-
-    upper: np.ndarray  # (..., 2n, 2n), only entries above the diagonal meaningful
-
-    @property
-    def matrix(self) -> np.ndarray:
-        U = np.triu(self.upper, k=1)
-        return U - U.swapaxes(-1, -2)
-
-    @property
-    def dim(self) -> int:
-        return self.upper.shape[-1] // 2
-
-    def pf(self):
-        return pfaffian(self.matrix)
-
-
 # ---------------------------------------------------------------------------
 # canonical and pulled-back forms
 #
@@ -124,18 +104,19 @@ class FormMatrix:
 # every leading axis is a batch axis, and a single point is the (n,) case.
 
 
-def _form_from_theta(theta_fn: Callable, n: int, x, xi) -> FormMatrix:
+def _form_from_theta(theta_fn: Callable, n: int, x, xi) -> np.ndarray:
     """d theta for the 1-form theta_i dx^i, from d theta_i / dx^k and
-    d theta_i / dxi^k."""
+    d theta_i / dxi^k; skew by construction, the strict upper triangle mirrored."""
     jac = dsl.phase_jacobian(theta_fn, x, xi)
     dx, dxi = jac[..., :n], jac[..., n:]
     upper = np.zeros(dx.shape[:-2] + (2 * n, 2 * n))
     upper[..., :n, :n] = dx - dx.swapaxes(-1, -2)  # (k, i): d_i theta_k - d_k theta_i
     upper[..., :n, n:] = dxi  # (x_i, xi_k) block equals d theta_i / dxi^k
-    return FormMatrix(upper)
+    U = np.triu(upper, k=1)
+    return U - U.swapaxes(-1, -2)
 
 
-def omega_g_at(metric: MetricField, x, xi) -> FormMatrix:
+def omega_g_at(metric: MetricField, x, xi) -> np.ndarray:
     """Canonical symplectic form of the metric, d[g_{ij} xi^j dx^i], with the
     dx-dxi block equal to g."""
     n = metric.dim
@@ -161,7 +142,7 @@ def _pullback_theta(pair: MetricPair):
     return theta
 
 
-def pullback_phi_omega(pair: MetricPair, x, xi) -> FormMatrix:
+def pullback_phi_omega(pair: MetricPair, x, xi) -> np.ndarray:
     """Pullback of omega_gbar along the trajectorial diffeomorphism
     Phi(x, xi) = (x, xi |xi|_g / |xi|_gbar)."""
     return _form_from_theta(_pullback_theta(pair), pair.dim, x, xi)
@@ -180,38 +161,10 @@ def a_scalar(pair: MetricPair, x, xi):
 # polynomial machinery
 
 
-@dataclass(frozen=True, eq=False)
-class PolyCoeffs:
-    """Real polynomial, or a stack of them: coefficients in descending powers
-    along the last axis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        cs = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", cs)
-        if cs.shape[-1] > 1 and np.any(cs[..., 0] == 0.0):
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[-1] - 1
-
-    def __call__(self, t):
-        acc = 0.0
-        for c in np.moveaxis(self.coeffs, -1, 0):
-            acc = acc * t + c
-        return acc
-
-    def ascending(self) -> np.ndarray:
-        """Coefficients (b_0, b_1, ..., b_deg) by ascending power."""
-        return self.coeffs[..., ::-1]
-
-
-def horner_divide(coeffs, root) -> tuple[PolyCoeffs, float]:
-    """Synthetic division by (t - root): returns quotient and remainder.
-    Stacked polynomials divide by one root each."""
-    cs = np.asarray(coeffs.coeffs if isinstance(coeffs, PolyCoeffs) else coeffs, dtype=float)
+def horner_divide(coeffs, root) -> tuple[np.ndarray, float]:
+    """Synthetic division by (t - root) of descending-power coefficients:
+    returns quotient and remainder.  Stacked polynomials divide by one root each."""
+    cs = np.asarray(coeffs, dtype=float)
     if cs.shape[-1] < 2:
         raise ValueError("cannot divide a constant polynomial")
     q = np.empty(cs.shape[:-1] + (cs.shape[-1] - 1,))
@@ -219,12 +172,12 @@ def horner_divide(coeffs, root) -> tuple[PolyCoeffs, float]:
     for j in range(1, q.shape[-1]):
         q[..., j] = cs[..., j] + root * q[..., j - 1]
     rem = cs[..., -1] + root * q[..., -1]
-    return PolyCoeffs(q), rem[()]
+    return q, rem[()]
 
 
-def delta_poly(pair: MetricPair, x, xi) -> PolyCoeffs:
+def delta_poly(pair: MetricPair, x, xi) -> np.ndarray:
     """Coefficients of Delta(t) = Pf(Phi* omega_gbar - t omega_g)/Pf(omega_g),
-    normalised to leading coefficient +1.
+    normalised to leading coefficient +1, descending powers on the last axis.
 
     The quotient is a degree-n polynomial in t; it is recovered exactly (up to
     rounding) from n+1 samples at Chebyshev nodes scaled to the root's
@@ -232,8 +185,8 @@ def delta_poly(pair: MetricPair, x, xi) -> PolyCoeffs:
     as one stack, and the Vandermonde systems are solved as one stack.
     """
     n = pair.dim
-    omega = omega_g_at(pair.g, x, xi).matrix
-    pulled = pullback_phi_omega(pair, x, xi).matrix
+    omega = omega_g_at(pair.g, x, xi)
+    pulled = pullback_phi_omega(pair, x, xi)
     radius = 1.0 + np.abs(a_scalar(pair, x, xi))
     nodes = np.multiply.outer(radius, np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2.0 * (n + 1))))
     # forms[..., 0] is omega_g, forms[..., 1 + j] the pencil at node j
@@ -254,21 +207,12 @@ def delta_poly(pair: MetricPair, x, xi) -> PolyCoeffs:
     powers[..., 1:] = nodes[..., None]
     np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
     coeffs = np.linalg.solve(V, samples[..., None])[..., 0]
-    return PolyCoeffs(coeffs / coeffs[..., :1])
+    return coeffs / coeffs[..., :1]
 
 
-@dataclass(frozen=True)
-class RankOneData:
-    """Principal-axes data of the dxi-block: diag(mu) minus the rank-one
-    update outer(A, B)."""
-
-    mu: tuple[float, ...]
-    A: tuple[float, ...]
-    B: tuple[float, ...]
-
-
-def rank_one_data(rho: Sequence[float], xi: Sequence[float]) -> RankOneData:
-    """Build the principal-axes data for g = identity, gbar = diag(rho)."""
+def rank_one_data(rho: Sequence[float], xi: Sequence[float]):
+    """The principal-axes data (mu, A, B) for g = identity, gbar = diag(rho):
+    the dxi-block of the pulled-back form is diag(-mu) + outer(A, B)."""
     rho = np.asarray(rho, dtype=float)
     xi = np.asarray(xi, dtype=float)
     ng = float(np.sqrt(np.sum(xi * xi)))
@@ -278,14 +222,14 @@ def rank_one_data(rho: Sequence[float], xi: Sequence[float]) -> RankOneData:
     mu = -rho * ng / nb
     A = rho * xi
     B = (nb / ng - rho * ng / nb) / (nb * nb) * xi
-    return RankOneData(tuple(mu), tuple(A), tuple(B))
+    return mu, A, B
 
 
-def rank_one_delta(d: RankOneData, t: float) -> float:
+def rank_one_delta(mu, A, B, t: float) -> float:
     """det(diag(t + mu) - outer(A, B)) expanded along the rank-one update:
     prod(t + mu_i) - sum_i A_i B_i prod_{j != i}(t + mu_j)."""
-    mu = np.asarray(d.mu, dtype=float)
-    ab = np.asarray(d.A, dtype=float) * np.asarray(d.B, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    ab = np.asarray(A, dtype=float) * np.asarray(B, dtype=float)
     full = np.prod(t + mu)
     total = full
     for i in range(len(mu)):
@@ -298,12 +242,13 @@ def rank_one_delta(d: RankOneData, t: float) -> float:
 class FactoryIntegrals:
     """Quotient coefficients delta(t) = Delta(t)/(t - a) plus the division
     remainder; the remainder vanishes exactly when a is a root of Delta.
+    coeffs (delta) and delta (Delta) hold descending powers on the last axis.
     Batched points give stacked fields."""
 
-    coeffs: PolyCoeffs
+    coeffs: np.ndarray
     remainder: float
     a: float
-    delta: PolyCoeffs
+    delta: np.ndarray
 
 
 def factory_integrals(pair: MetricPair, x, xi) -> FactoryIntegrals:

@@ -276,8 +276,7 @@ _chart_exit.direction = -1
 
 @dataclass
 class GeodesicOptions:
-    rtol: float = 1e-10
-    atol: float = 1e-10
+    tol: float = 1e-10  # RK45 rtol and atol
     energy_tol: float = 1e-8
     samples: int = 201
 
@@ -349,8 +348,8 @@ def integrate_geodesic(
         (0.0, t_end),
         np.concatenate([x, xi]),
         method="RK45",
-        rtol=opts.rtol,
-        atol=opts.atol,
+        rtol=opts.tol,
+        atol=opts.tol,
         events=None if chart.domain is None else [_chart_exit],
         dense_output=True,
         args=(metric,),
@@ -485,7 +484,7 @@ def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     check_phase_points(x, xi)
-    opts = GeodesicOptions(rtol=1e-8, atol=1e-8, samples=3001, energy_tol=1e-5)
+    opts = GeodesicOptions(tol=1e-8, samples=3001, energy_tol=1e-5)
     v = xi / g.norm(x, xi)
     tg = integrate_geodesic(g, x, v, float(length), opts)
     vb = xi / gbar.norm(x, xi)

@@ -29,23 +29,8 @@ from .dsl import Expression, d_exp
 from .geometry import MetricField
 from .hamilton import PhaseFunction, bracket, canonical_gradients
 
-
-@dataclass(frozen=True)
-class CharCoeffs:
-    """Coefficients of det(G - mu E) in descending powers of mu; c[0] = (-1)^n."""
-
-    c: tuple[float, ...]
-
-    def __post_init__(self):
-        n = len(self.c) - 1
-        if self.c[0] != (-1.0) ** n:
-            raise ValueError("leading characteristic coefficient must be (-1)^n")
-
-    def __getitem__(self, i: int) -> float:
-        return self.c[i]
-
-    def __len__(self) -> int:
-        return len(self.c)
+# eigenvalues of G closer than this, relative to 1 + |value|, are one cluster
+EIGEN_CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,13 +72,13 @@ class MetricPair:
 # characteristic data
 
 
-def char_coeffs(G: np.ndarray) -> CharCoeffs:
-    """Faddeev-LeVerrier characteristic coefficients of a plain float matrix."""
+def char_coeffs(G: np.ndarray) -> np.ndarray:
+    """Faddeev-LeVerrier characteristic coefficients of a plain float matrix:
+    det(G - mu E) in descending powers of mu, with c[0] = (-1)^n."""
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
     cs = _char_coeffs_cells(matops.from_cells(G.tolist()))
-    vals = [float((-1.0) ** n)] + [float(dsl.scalar_value(c)) for c in cs[1:]]
-    return CharCoeffs(tuple(vals))
+    return np.array([(-1.0) ** n] + [dsl.scalar_value(c) for c in cs[1:]], dtype=float)
 
 
 def _char_coeffs_cells(G: np.ndarray) -> list:
@@ -199,7 +184,7 @@ def painleve_I0(pair: MetricPair, x, xi) -> float:
 # eigenvalue profile and Killing transfer
 
 
-def eigen_profile(pair: MetricPair, x, tol: float = 1e-8) -> EigenProfile:
+def eigen_profile(pair: MetricPair, x) -> EigenProfile:
     """Eigenvalues of G = g^{-1} gbar, clustered at relative tolerance."""
     g = pair.g.values(x)
     gbar = pair.gbar.values(x)
@@ -210,7 +195,7 @@ def eigen_profile(pair: MetricPair, x, tol: float = 1e-8) -> EigenProfile:
     distinct = [float(vals[0])]
     mults = [1]
     for v in vals[1:]:
-        if v - distinct[-1] > tol * (1.0 + abs(v)):
+        if v - distinct[-1] > EIGEN_CLUSTER_TOL * (1.0 + abs(v)):
             distinct.append(float(v))
             mults.append(1)
         else:

@@ -339,12 +339,18 @@ def lcspec_from_json(doc: dict) -> LCSpec:
     blocks = None
     if doc.get("blocks") is not None:
         grids = []
-        for grid, size in zip(doc["blocks"], sizes):
-            if grid is None:
-                grid = [["1" if i == j else "0" for j in range(size)] for i in range(size)]
-            grids.append(tuple(tuple(str(e) for e in row) for row in grid))
+        try:
+            for grid, size in zip(doc["blocks"], sizes):
+                if grid is None:
+                    grid = [["1" if i == j else "0" for j in range(size)] for i in range(size)]
+                grids.append(tuple(tuple(str(e) for e in row) for row in grid))
+        except TypeError:
+            raise ValueError("normal-form config: blocks[] must hold square grids or null")
         blocks = tuple(grids)
     box = None
     if doc.get("box") is not None:
-        box = tuple((float(lo), float(hi)) for lo, hi in doc["box"])
+        try:
+            box = tuple((float(lo), float(hi)) for lo, hi in doc["box"])
+        except (TypeError, ValueError):
+            raise ValueError("normal-form config: box[] must hold [lo, hi] pairs")
     return LCSpec(sizes=sizes, phi=phi, blocks=blocks, box=box)

@@ -57,7 +57,7 @@ def geodesic_sets(equiv_pairs):
     tolerance 1e-10.  The energy self-check runs at 1e-7: the RK45 scheme
     legitimately accumulates ~1e-8 relative energy error near chart walls,
     and the conservation checks judge drift themselves."""
-    opts = GeodesicOptions(rtol=1e-10, atol=1e-10, energy_tol=1e-7)
+    opts = GeodesicOptions(tol=1e-10, energy_tol=1e-7)
     out = {}
     for name, pair in equiv_pairs.items():
         rng = np.random.default_rng(GEODESIC_SEED)

@@ -100,6 +100,47 @@ def test_float_overflow_exits_2_with_named_error(capsys, tmp_path):
     assert out == ""
 
 
+def test_nan_drift_row_fails_conservation(capsys, tmp_path):
+    # exp(1000 x) overflows past x ~ 0.71, so gbar[1][1] = inf/inf is NaN
+    # there; at seed 1 the second trajectory's drift row is NaN and the first
+    # is finite, so a maximum that drops NaN would pass the check
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"pair": {
+        "coordinates": ["x", "y"], "box": [[-1, 0.6], [-1, 1]],
+        "g[1][1]": "1", "g[2][2]": "1", "gbar[1][1]": "exp(1000*x)/exp(1000*x)",
+        "gbar[2][2]": "1",
+    }}))
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "verify", "--config", str(config), "--seed", "1",
+                                 "--trajectories", "6", "--points", "5", "--t-end", "0.5")
+    assert code == 1, err
+    assert "conservation" in json.loads(out)["violations"]
+
+
+@pytest.mark.parametrize("command, run, spec, message", [
+    ("verify", {"points": 1.5}, {}, "points must be an integer"),
+    ("verify", {"trajectories": 1.5}, {}, "trajectories must be an integer"),
+    ("verify", {"pair": {"coordinates": ["u", "v"], "box": [1, 2], "g[1][1]": "1",
+                         "g[2][2]": "1", "gbar[1][1]": "1", "gbar[2][2]": "1"}},
+     {}, '"box" must'),
+    ("verify", {}, {"box": [1, 2]}, "box[] must"),
+    ("verify", {}, {"blocks": [5, None]}, "blocks[] must"),
+    ("levi-civita-build", None, {"box": [1, 2]}, "box[] must"),
+    ("levi-civita-build", None, {"blocks": [5, None]}, "blocks[] must"),
+], ids=["points", "trajectories", "inline-box", "lc-box", "lc-blocks", "build-box", "build-blocks"])
+def test_malformed_config_is_a_config_error(capsys, tmp_path, command, run, spec, message):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({"sizes": [1, 1], "phi": ["1", "2"], **spec}))
+    if run is not None:
+        run = {"pair": f"lc:{config}", "trajectories": 2, "points": 5, **run}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(run))
+    code, out, err = run_cli(capsys, command, "--config", str(config))
+    assert code == 2
+    assert err.startswith("error")
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

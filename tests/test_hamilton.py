@@ -161,7 +161,7 @@ def test_bottom_integral_conserved_on_curved_pair():
     rng = np.random.default_rng(29)
     xs, xis = sample_phase_points(pair, 1, rng)
     traj = integrate_geodesic(pair.g, xs[0], xis[0], 5.0,
-                              GeodesicOptions(rtol=1e-10, atol=1e-10, energy_tol=1e-7))
+                              GeodesicOptions(tol=1e-10, energy_tol=1e-7))
     F = integral_phase_function(pair, 0)
     assert conservation_drift(F.value_batch(traj.xs, traj.xis)) <= 1e-6
 

@@ -159,7 +159,7 @@ def test_linear_integrals_conserved_and_commuting(battery_pairs):
     fns = lc.linear_integrals()
     rng = np.random.default_rng(7)
     xs, xis = sample_phase_points(lc.pair, 4, rng)
-    opts = GeodesicOptions(rtol=1e-10, atol=1e-10)
+    opts = GeodesicOptions(tol=1e-10)
     for x, xi in zip(xs, xis):
         traj = integrate_geodesic(lc.pair.g, x, xi, 5.0, opts)
         for L in fns:
@@ -235,7 +235,7 @@ def test_shift_large_approaches_first_metric(battery_pairs):
 def test_shifted_pairs_stay_equivalent(battery_pairs):
     lc = battery_pairs["m2n2"]
     rng = np.random.default_rng(23)
-    opts = GeodesicOptions(rtol=1e-10, atol=1e-10)
+    opts = GeodesicOptions(tol=1e-10)
     trajs = [integrate_geodesic(lc.pair.g, x, xi, 5.0, opts)
              for x, xi in zip(*sample_phase_points(lc.pair, 3, rng))]
     for c in (0.5, 1.0, 2.0):
