@@ -86,21 +86,17 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("drift_tol", "bracket_tol", "rank_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("trajectories", "points"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an integer")
-        if self.trajectories < 1:
-            raise ConfigError("trajectory count must be at least 1")
-        if self.points < 1:
-            raise ConfigError("sample-point count must be at least 1")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
+        # bool is a subclass of int, so the types are compared exactly
+        for name, least in (("seed", 0), ("trajectories", 1), ("points", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an integer of at least {least}, not {value!r}")
+        for name in ("t_end", "drift_tol", "bracket_tol", "rank_tol"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be a positive number, not {value!r}")
         if self.out_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.out_format!r}")
-        self.seed = int(self.seed)
 
 
 # config-file keys that differ from their RunConfig field (and flag dest)
@@ -236,8 +232,17 @@ def _pmap(fn, jobs: list) -> list:
         return list(pool.map(fn, jobs))
 
 
+def _null_non_finite(doc):
+    """doc with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(doc, dict):
+        return {k: _null_non_finite(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_null_non_finite(v) for v in doc]
+    return None if isinstance(doc, float) and not np.isfinite(doc) else doc
+
+
 def _report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_null_non_finite(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -8,11 +8,10 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.spatial import cKDTree
 
 from . import dsl, matops
 from .dsl import Expression, eval_env, parse
+from .ode import solve_ivp
 
 
 class ChartDomainError(ValueError):
@@ -265,15 +264,6 @@ def geodesic_rhs(t: float, y: np.ndarray, metric: MetricField) -> np.ndarray:
     return np.concatenate([xi, -np.einsum("kij,i,j->k", gamma, xi, xi)])
 
 
-def _chart_exit(t: float, y: np.ndarray, metric: MetricField) -> float:
-    """Integration event: the chart's domain margin at the state's base point."""
-    return metric.chart.domain_margin(y[:metric.dim])
-
-
-_chart_exit.terminal = True
-_chart_exit.direction = -1
-
-
 @dataclass
 class GeodesicOptions:
     tol: float = 1e-10  # RK45 rtol and atol
@@ -343,21 +333,19 @@ def integrate_geodesic(
     if not chart.contains(x):
         raise ChartDomainError(f"initial point {x.tolist()} is outside the chart domain")
     n = metric.dim
+    # the chart-exit event is the domain margin at the state's base point
     sol = solve_ivp(
-        geodesic_rhs,
+        lambda t, y: geodesic_rhs(t, y, metric),
         (0.0, t_end),
         np.concatenate([x, xi]),
-        method="RK45",
         rtol=opts.tol,
         atol=opts.tol,
-        events=None if chart.domain is None else [_chart_exit],
-        dense_output=True,
-        args=(metric,),
+        event=None if chart.domain is None else lambda t, y: chart.domain_margin(y[:n]),
     )
     if sol.status == -1:
         raise IntegrationError(f"geodesic integration failed: {sol.message}")
     left = sol.status == 1
-    t_reached = float(sol.t_events[0][-1]) if left else float(sol.t[-1])
+    t_reached = float(sol.t_events[-1]) if left else float(sol.t[-1])
     if t_reached <= 0.0:
         raise IntegrationError("trajectory left the chart domain immediately")
     # resample the dense interpolant uniformly over the span actually covered,
@@ -365,7 +353,7 @@ def integrate_geodesic(
     ts = np.linspace(0.0, t_reached, max(2, opts.samples))
     ys = sol.sol(ts).T
     if left:
-        ys[-1] = sol.y_events[0][-1]
+        ys[-1] = sol.y_events[-1]
     traj = Trajectory(metric, ts, ys[:, :n], ys[:, n:], left_domain=left)
     E = traj.energies()
     drift = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-300))
@@ -425,6 +413,9 @@ def curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     measured exactly after it.  Min and max are exact, so the result is that
     of measuring every point.
     """
+    # imported here, so that commands comparing no curves never load scipy
+    from scipy.spatial import cKDTree
+
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     if len(c2) == 1:

@@ -59,6 +59,20 @@ def test_verify_fails_on_broken_pair_and_names_check(capsys):
     assert "conservation" in doc["violations"]
 
 
+@pytest.mark.parametrize("command, violations", [
+    ("verify", ["conservation", "involution"]),
+    ("factory", ["factory-conservation"]),
+])
+def test_checks_have_the_power_to_fail_a_small_perturbation(capsys, command, violations):
+    # gbar scaled by 1 + 1e-4 sin(x1 x2): at seed 0 and the default sizes the
+    # drift reaches 6.1e-5 (factory 7.7e-5) against 1e-6 and the brackets
+    # 1.6e-5 against 1e-8, so a check made vacuous passes here and fails the
+    # test; the factory remainder and cross-check hold for any smooth pair
+    code, out, err = run_cli(capsys, command, "--pair", "falsify:perturbed-lc:1e-4", "--seed", "0")
+    assert code == 1, err
+    assert json.loads(out)["violations"] == violations
+
+
 def test_verify_rejects_zero_trajectories(capsys, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"sizes": [1, 1], "phi": ["1", "2"]}))
@@ -114,12 +128,22 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", "--config", str(config), "--seed", "1",
                                  "--trajectories", "6", "--points", "5", "--t-end", "0.5")
     assert code == 1, err
-    assert "conservation" in json.loads(out)["violations"]
+
+    def refuse(token):
+        raise ValueError(f"bare {token} in the report")
+
+    doc = json.loads(out, parse_constant=refuse)
+    assert "conservation" in doc["violations"]
+    check = next(c for c in doc["checks"] if c["name"] == "conservation")
+    assert check["value"] is None and check["pass"] is False
 
 
 @pytest.mark.parametrize("command, run, spec, message", [
     ("verify", {"points": 1.5}, {}, "points must be an integer"),
     ("verify", {"trajectories": 1.5}, {}, "trajectories must be an integer"),
+    ("verify", {"seed": 1.5}, {}, "seed must be an integer"),
+    ("verify", {"t_end": "5"}, {}, "t_end must be a positive number"),
+    ("verify", {"drift_tol": "1e-6"}, {}, "drift_tol must be a positive number"),
     ("verify", {"pair": {"coordinates": ["u", "v"], "box": [1, 2], "g[1][1]": "1",
                          "g[2][2]": "1", "gbar[1][1]": "1", "gbar[2][2]": "1"}},
      {}, '"box" must'),
@@ -127,7 +151,7 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
     ("verify", {}, {"blocks": [5, None]}, "blocks[] must"),
     ("levi-civita-build", None, {"box": [1, 2]}, "box[] must"),
     ("levi-civita-build", None, {"blocks": [5, None]}, "blocks[] must"),
-], ids=["points", "trajectories", "inline-box", "lc-box", "lc-blocks", "build-box", "build-blocks"])
+], ids=["points", "trajectories", "seed", "t_end", "drift_tol", "inline-box", "lc-box", "lc-blocks", "build-box", "build-blocks"])
 def test_malformed_config_is_a_config_error(capsys, tmp_path, command, run, spec, message):
     config = tmp_path / "spec.json"
     config.write_text(json.dumps({"sizes": [1, 1], "phi": ["1", "2"], **spec}))
