@@ -334,18 +334,13 @@ def integrate_geodesic(
         raise ChartDomainError(f"initial point {x.tolist()} is outside the chart domain")
     n = metric.dim
     # the chart-exit event is the domain margin at the state's base point
-    sol = solve_ivp(
-        lambda t, y: geodesic_rhs(t, y, metric),
-        (0.0, t_end),
-        np.concatenate([x, xi]),
-        rtol=opts.tol,
-        atol=opts.tol,
-        event=None if chart.domain is None else lambda t, y: chart.domain_margin(y[:n]),
-    )
+    exit_event = None if chart.domain is None else lambda t, y: chart.domain_margin(y[:n])
+    sol = solve_ivp(lambda t, y: geodesic_rhs(t, y, metric), (0.0, t_end),
+                    np.concatenate([x, xi]), opts.tol, exit_event)
     if sol.status == -1:
         raise IntegrationError(f"geodesic integration failed: {sol.message}")
     left = sol.status == 1
-    t_reached = float(sol.t_events[-1]) if left else float(sol.t[-1])
+    t_reached = sol.t_event if left else float(sol.t[-1])
     if t_reached <= 0.0:
         raise IntegrationError("trajectory left the chart domain immediately")
     # resample the dense interpolant uniformly over the span actually covered,
@@ -353,7 +348,7 @@ def integrate_geodesic(
     ts = np.linspace(0.0, t_reached, max(2, opts.samples))
     ys = sol.sol(ts).T
     if left:
-        ys[-1] = sol.y_events[-1]
+        ys[-1] = sol.y_event
     traj = Trajectory(metric, ts, ys[:, :n], ys[:, n:], left_domain=left)
     E = traj.energies()
     drift = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-300))
@@ -415,7 +410,6 @@ def curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     """
     # imported here, so that commands comparing no curves never load scipy
     from scipy.spatial import cKDTree
-
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     if len(c2) == 1:

@@ -7,6 +7,7 @@ numpy calls in scipy's order, so the results equal scipy's bit for bit.
 Dormand & Prince (1980); Hairer, Norsett & Wanner, Solving ODEs I, II.4.
 """
 
+import warnings
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -17,8 +18,8 @@ SAFETY = 0.9  # multiplies steps predicted from the error's asymptotic order
 MIN_FACTOR = 0.2  # smallest step decrease after a rejection
 MAX_FACTOR = 10  # largest step increase
 ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
-MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
-            1: "A termination event occurred."}
+BRENT_TOL = 4 * EPS  # the event root's xtol and rtol
+BRENT_MAXITER = 100
 
 C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 A = np.array([
@@ -88,30 +89,35 @@ class OdeSolution:
 
 @dataclass
 class OdeResult:
-    """The step ends t (the event's root last, if it fired) and the dense
-    output over them; the event's root and state, if it fired; status 0 at
-    the span's end, 1 at the event, -1 when the step fell below float spacing."""
+    """The step ends t (the event's root last, if it fired), the dense output
+    over them, and the event's root and state, None unless it fired. status is
+    0 at the span's end, 1 at the event, -1 (with a message) at a step below
+    float spacing."""
 
     t: np.ndarray
     sol: OdeSolution
-    t_events: np.ndarray
-    y_events: np.ndarray
+    t_event: float | None
+    y_event: np.ndarray | None
     nfev: int
     status: int
-    message: str
+    message: str | None
 
 
 def rms_norm(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, event=None) -> OdeResult:
+def solve_ivp(fun, t_span, y0, tol, event) -> OdeResult:
     """Integrate y' = fun(t, y) from y(t0) = y0 over t_span = (t0, t_bound),
-    t_bound > t0, keeping the local error estimate below atol + rtol |y|.
-    When event(t, y) goes from >= 0 at one step end to <= 0 at the next, the
-    integration stops at its root in that step."""
+    t_bound > t0, keeping the local error estimate below tol (1 + |y|).
+    When event(t, y), unless None, goes from >= 0 at one step end to <= 0 at
+    the next, the integration stops at its root in that step."""
     t, t_bound = map(float, t_span)
-    rtol = max(rtol, 100 * EPS)
+    atol = rtol = tol
+    if rtol < 100 * EPS:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.", stacklevel=2)
+        rtol = 100 * EPS
     y = np.asarray(y0, dtype=float)
     f = fun(t, y)
     # the first step, from one more evaluation of fun
@@ -129,7 +135,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, event=None) -> OdeResult:
     h_abs = min(100 * h0, h1, interval_length)
     nfev = 2
     K = np.empty((7, y.size))
-    ts, interpolants, t_events, y_events = [t], [], [], []
+    ts, interpolants = [t], []
+    t_event = y_event = None
     g = None if event is None else event(t, y)
     status = message = None
     while status is None:
@@ -170,9 +177,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, event=None) -> OdeResult:
             g_new = event(t, y)
             if g >= 0 and g_new <= 0:
                 sol = interpolants[-1]
-                t = brentq(lambda s: event(s, sol(s)), t_old, t, xtol=4 * EPS, rtol=4 * EPS)
-                t_events.append(t)
-                y_events.append(sol(t))
+                t = t_event = brentq(lambda s: event(s, sol(s)), t_old, t)
+                y_event = sol(t)
                 status = 1
             g = g_new
         # a root at the step's start adds no step
@@ -181,14 +187,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, event=None) -> OdeResult:
         else:
             ts.append(t)
     ts = np.array(ts)
-    return OdeResult(ts, OdeSolution(ts, interpolants), np.asarray(t_events),
-                     np.asarray(y_events), nfev, status, MESSAGES.get(status, message))
+    return OdeResult(ts, OdeSolution(ts, interpolants), t_event, y_event, nfev, status, message)
 
 
-def brentq(f, a, b, xtol, rtol, maxiter=100) -> float:
+def brentq(f, a, b) -> float:
     """A root of f between a and b, where f changes sign, to within
-    xtol + rtol |root|, by Brent's method.  Raises ValueError when f is NaN
-    or has one sign at a and b, RuntimeError after maxiter iterations."""
+    BRENT_TOL (1 + |root|), by Brent's method.  Raises ValueError when f is
+    NaN or has one sign at a and b, RuntimeError after BRENT_MAXITER
+    iterations."""
     def call(x):
         fx = float(f(x))
         if np.isnan(fx):
@@ -204,14 +210,14 @@ def brentq(f, a, b, xtol, rtol, maxiter=100) -> float:
     if np.signbit(fpre) == np.signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (BRENT_TOL + BRENT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -231,4 +237,4 @@ def brentq(f, a, b, xtol, rtol, maxiter=100) -> float:
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations, value is {xcur:f}")

@@ -48,15 +48,17 @@ def test_rk45_matches_scipy_bitwise(name):
                     events=None if chart.domain is None else [_scipy_chart_exit],
                     dense_output=True, args=(metric,))
                 got = ode.solve_ivp(
-                    lambda t, y: geodesic_rhs(t, y, metric), (0.0, 5.0), y0, rtol=tol, atol=tol,
-                    event=None if chart.domain is None else lambda t, y: chart.domain_margin(y[:n]))
-                assert (got.status, got.nfev, got.message) == (ref.status, ref.nfev, ref.message)
+                    lambda t, y: geodesic_rhs(t, y, metric), (0.0, 5.0), y0, tol,
+                    None if chart.domain is None else lambda t, y: chart.domain_margin(y[:n]))
+                assert (got.status, got.nfev) == (ref.status, ref.nfev)
                 assert bitwise_equal(got.t, ref.t)
                 ts = np.linspace(0.0, float(ref.t[-1]), 1001)
                 assert bitwise_equal(got.sol(ts[::-1]), ref.sol(ts[::-1]))
-                if chart.domain is not None:
-                    assert bitwise_equal(got.t_events, ref.t_events[0])
-                    assert bitwise_equal(got.y_events, ref.y_events[0])
+                if ref.status == 1:
+                    assert bitwise_equal(got.t_event, ref.t_events[0][0])
+                    assert bitwise_equal(got.y_event, ref.y_events[0][0])
+                else:
+                    assert got.t_event is None and got.y_event is None
                 exits += ref.status == 1
                 # every attempted step costs six evaluations, the start two
                 rejections += ref.nfev > 2 + 6 * (len(ref.t) - 1)
@@ -81,9 +83,8 @@ def test_brentq_matches_scipy_on_seeded_brackets():
         if np.signbit(f(a)) == np.signbit(f(b)):
             continue
         brackets += 1
-        for xtol, rtol in ((4 * ode.EPS, 4 * ode.EPS), (2e-12, 4 * ode.EPS), (1e-6, 1e-10)):
-            got = ode.brentq(f, a, b, xtol=xtol, rtol=rtol)
-            assert bitwise_equal(got, scipy_brentq(f, a, b, xtol=xtol, rtol=rtol))
+        got = ode.brentq(f, a, b)
+        assert bitwise_equal(got, scipy_brentq(f, a, b, xtol=ode.BRENT_TOL, rtol=ode.BRENT_TOL))
     assert brackets > 100
 
 
@@ -92,10 +93,33 @@ def test_brentq_matches_scipy_on_seeded_brackets():
     (lambda x: np.nan if x > 0.5 else x, 100, ValueError),
     (lambda x: x ** 3 - 0.2, 3, RuntimeError),
 ], ids=["no-sign-change", "nan", "no-convergence"])
-def test_brentq_fails_as_scipy_does(f, maxiter, error):
-    for brentq in (ode.brentq, scipy_brentq):
-        with pytest.raises(error):
-            brentq(f, -1.0, 1.0, xtol=1e-15, rtol=4 * ode.EPS, maxiter=maxiter)
+def test_brentq_fails_as_scipy_does(f, maxiter, error, monkeypatch):
+    monkeypatch.setattr(ode, "BRENT_MAXITER", maxiter)
+    with pytest.raises(error):
+        ode.brentq(f, -1.0, 1.0)
+    with pytest.raises(error):
+        scipy_brentq(f, -1.0, 1.0, xtol=ode.BRENT_TOL, rtol=ode.BRENT_TOL, maxiter=maxiter)
+
+
+def test_rk45_step_collapse_matches_scipy():
+    # y' = y^2 from y(0) = 1 blows up at t = 1, where the step falls below
+    # float spacing
+    ref = scipy_solve_ivp(lambda t, y: y * y, (0.0, 2.0), [1.0], method="RK45",
+                          rtol=1e-8, atol=1e-8, dense_output=True)
+    got = ode.solve_ivp(lambda t, y: y * y, (0.0, 2.0), [1.0], 1e-8, None)
+    assert ref.status == -1
+    assert (got.status, got.nfev, got.message) == (ref.status, ref.nfev, ref.message)
+    assert bitwise_equal(got.t, ref.t)
+
+
+def test_rk45_warns_and_raises_a_tolerance_below_100_eps_as_scipy_does():
+    with pytest.warns(UserWarning, match="rtol") as caught:
+        ref = scipy_solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="RK45",
+                              rtol=1e-17, atol=1e-17, dense_output=True)
+        got = ode.solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], 1e-17, None)
+    assert len(caught) == 2 and str(caught[0].message) == str(caught[1].message)
+    assert got.nfev == ref.nfev
+    assert bitwise_equal(got.t, ref.t)
 
 
 @pytest.mark.parametrize("command", ["verify", "factory"])
