@@ -8,144 +8,23 @@ from the trajectorial rescaling map, and the numerical checks (conservation,
 involution, independence, coincidence of geodesics) on symbolic metric input.
 """
 
-from .dsl import (
-    DomainError,
-    DslError,
-    DslSyntaxError,
-    Expression,
-    UnknownIdentifierError,
-    parse,
-)
-from .geometry import (
-    Chart,
-    ChartDomainError,
-    EnergyDriftError,
-    GeodesicOptions,
-    IntegrationError,
-    MetricField,
-    Trajectory,
-    arc_length,
-    arclength_reparam,
-    christoffel,
-    curve_distance,
-    geodesic_coincidence,
-    integrate_geodesic,
-    symmetric_curve_distance,
-)
-from .matops import NotPositiveDefiniteError
-from .hamilton import (
-    PhaseFunction,
-    conservation_drift,
-    hamiltonian,
-    poisson_bracket,
-)
-from .integrals import (
-    EigenProfile,
-    MetricPair,
-    char_coeffs,
-    eigen_profile,
-    g_operator,
-    independence_rank,
-    integral_phase_function,
-    integrals_at,
-    integrals_jacobian,
-    involution_matrix,
-    painleve_I0,
-    s_matrix,
-    transfer_killing,
-)
-from .factory import (
-    FactoryIntegrals,
-    a_scalar,
-    coeffs_from_closed_form,
-    delta_poly,
-    factory_integrals,
-    horner_divide,
-    pfaffian,
-)
-from .levicivita import (
-    LCPair,
-    LCSpec,
-    build_pair,
-    elementary_symmetric,
-    lcspec_from_json,
-)
-from .catalog import (
-    EllipsoidSpec,
-    ambient_pullbacks,
-    battery,
-    constraint_residual,
-    demo_pair,
-    ellipsoid_pair,
-    elliptic_to_cartesian,
-    euclidean_pair,
-    falsification_pair,
-    resolve_pair,
-    sphere_pair,
-)
+from .catalog import resolve_pair
+from .geometry import GeodesicOptions, geodesic_coincidence, integrate_geodesic
+from .hamilton import conservation_drift
+from .integrals import independence_rank, integrals_at, integrals_jacobian, involution_matrix
 
 __version__ = "0.1.0"
 
+# the names of the README's library tour; everything else is imported from
+# its module (geodequiv.dsl, geodequiv.geometry, ...)
 __all__ = [
-    "Chart",
-    "ChartDomainError",
-    "DomainError",
-    "DslError",
-    "DslSyntaxError",
-    "EigenProfile",
-    "EllipsoidSpec",
-    "EnergyDriftError",
-    "Expression",
-    "FactoryIntegrals",
     "GeodesicOptions",
-    "IntegrationError",
-    "LCPair",
-    "LCSpec",
-    "MetricField",
-    "MetricPair",
-    "NotPositiveDefiniteError",
-    "PhaseFunction",
-    "Trajectory",
-    "UnknownIdentifierError",
-    "a_scalar",
-    "ambient_pullbacks",
-    "arc_length",
-    "arclength_reparam",
-    "battery",
-    "build_pair",
-    "char_coeffs",
-    "christoffel",
-    "coeffs_from_closed_form",
     "conservation_drift",
-    "constraint_residual",
-    "curve_distance",
-    "delta_poly",
-    "demo_pair",
-    "eigen_profile",
-    "elementary_symmetric",
-    "ellipsoid_pair",
-    "elliptic_to_cartesian",
-    "euclidean_pair",
-    "factory_integrals",
-    "falsification_pair",
-    "g_operator",
     "geodesic_coincidence",
-    "hamiltonian",
-    "horner_divide",
     "independence_rank",
-    "integral_phase_function",
     "integrals_at",
     "integrals_jacobian",
     "integrate_geodesic",
     "involution_matrix",
-    "lcspec_from_json",
-    "painleve_I0",
-    "parse",
-    "pfaffian",
-    "poisson_bracket",
     "resolve_pair",
-    "s_matrix",
-    "sphere_pair",
-    "symmetric_curve_distance",
-    "transfer_killing",
 ]

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dsl
-from .dsl import Add, Call, Div, Expression, Lit, Mul, Neg, Sub, Var, d_sqrt
+from .dsl import Add, Call, Div, Expression, Lit, Mul, Neg, Sub, Var, d_sqrt, product
 from .geometry import Chart, MetricField
 from .integrals import MetricPair
 from .levicivita import LCPair, LCSpec, build_pair, lcspec_from_json
@@ -128,7 +128,7 @@ def _nu_chart(spec: EllipsoidSpec) -> Chart:
     return Chart(names, domain=tuple(factors), sample_box=tuple(box))
 
 
-def ellipsoid_pair(spec: EllipsoidSpec, pair_id: str | None = None) -> MetricPair:
+def ellipsoid_pair(spec: EllipsoidSpec) -> MetricPair:
     """The induced/weighted pair on the elliptic chart, entries in closed form."""
     a = spec.semi_axes
     n = spec.dim
@@ -137,29 +137,20 @@ def ellipsoid_pair(spec: EllipsoidSpec, pair_id: str | None = None) -> MetricPai
 
     def g_diag(i: int) -> Expression:
         # -(1/4) nu_i prod_{j != i} (nu_i - nu_j) / prod_k (nu_i - a_k)
-        num: Expression = nus[i]
-        for j in range(n):
-            if j != i:
-                num = Mul(num, Sub(nus[i], nus[j]))
-        den: Expression = Lit(4.0)
-        for ak in a:
-            den = Mul(den, Sub(nus[i], Lit(ak)))
+        num = product([nus[i]] + [Sub(nus[i], nus[j]) for j in range(n) if j != i])
+        den = product([Lit(4.0)] + [Sub(nus[i], Lit(ak)) for ak in a])
         return Neg(Div(num, den))
 
     g_entries = [g_diag(i) for i in range(n)]
     g = MetricField.from_diagonal(chart, g_entries)
 
-    prod_nu: Expression = nus[0]
-    for v in nus[1:]:
-        prod_nu = Mul(prod_nu, v)
+    prod_nu = product(nus)
     prod_a = Lit(float(np.prod(a)))
     gbar_entries = [
         Div(Mul(prod_a, g_entries[i]), Mul(nus[i], prod_nu)) for i in range(n)
     ]
     gbar = MetricField.from_diagonal(chart, gbar_entries)
-    if pair_id is None:
-        pair_id = "ellipsoid:" + ",".join(_fmt(v) for v in a)
-    return MetricPair(g, gbar, pair_id=pair_id)
+    return MetricPair(g, gbar, pair_id="ellipsoid:" + ",".join(_fmt(v) for v in a))
 
 
 def ambient_pullbacks(spec: EllipsoidSpec, nu) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +178,7 @@ def ambient_pullbacks(spec: EllipsoidSpec, nu) -> tuple[np.ndarray, np.ndarray]:
 # flat and round trivial pairs
 
 
-def euclidean_pair(n: int, pair_id: str | None = None) -> MetricPair:
+def euclidean_pair(n: int) -> MetricPair:
     """The flat metric paired with itself; every quotient check degenerates
     to its fixed point here, which makes it a good null case."""
     if n < 1:
@@ -199,7 +190,7 @@ def euclidean_pair(n: int, pair_id: str | None = None) -> MetricPair:
     diag = [Lit(1.0) for _ in range(n)]
     g = MetricField.from_diagonal(chart, diag)
     gbar = MetricField.from_diagonal(chart, diag)
-    return MetricPair(g, gbar, pair_id=pair_id or f"euclidean:{n}")
+    return MetricPair(g, gbar, pair_id=f"euclidean:{n}")
 
 
 def sphere_pair() -> MetricPair:

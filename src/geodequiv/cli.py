@@ -97,6 +97,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a positive number, not {value!r}")
         if self.out_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.out_format!r}")
+        if self.out is not None and type(self.out) is not str:
+            raise ConfigError(f"out must be a path string, not {self.out!r}")
 
 
 # config-file keys that differ from their RunConfig field (and flag dest)

@@ -20,7 +20,8 @@ same operations as the `Dual1` walk without its per-call tree traversal;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -207,25 +208,36 @@ def scalar_value(z):
 
 @dataclass(frozen=True)
 class Expression:
+    """A node of the immutable AST.  `prec` is the node's printing precedence
+    (add 1, mul 2, unary 3, pow 4, atom 5); each node prints itself with
+    `__str__`, parenthesizing a child exactly where re-parsing needs it."""
+
+    prec = 5
+
     def variables(self) -> frozenset:
-        raise NotImplementedError
+        # getattr, not vars(self): building the instance __dict__ would slow
+        # every later attribute read in evaluate
+        kids = (getattr(self, f.name) for f in fields(self))
+        return frozenset().union(*(k.variables() for k in kids if isinstance(k, Expression)))
 
     def evaluate(self, env: Mapping[str, object]):
         raise NotImplementedError
 
-    def __str__(self) -> str:
-        return _pp(self, 0)
+
+def _par(e: Expression, prec: int) -> str:
+    """e printed as an operand that needs precedence at least prec."""
+    return f"({e})" if e.prec < prec else str(e)
 
 
 @dataclass(frozen=True)
 class Lit(Expression):
     value: float
 
-    def variables(self):
-        return frozenset()
-
     def evaluate(self, env):
         return self.value
+
+    def __str__(self):
+        return repr(self.value)
 
 
 @dataclass(frozen=True)
@@ -238,50 +250,49 @@ class Var(Expression):
     def evaluate(self, env):
         return env[self.name]
 
+    def __str__(self):
+        return self.name
+
 
 @dataclass(frozen=True)
-class Add(Expression):
+class _Binary(Expression):
+    """l sym r, left-associative; the subclasses give sym and prec."""
+
     l: Expression
     r: Expression
 
-    def variables(self):
-        return self.l.variables() | self.r.variables()
+    def __str__(self):
+        sep = f" {self.sym} " if self.prec == 1 else self.sym
+        return _par(self.l, self.prec) + sep + _par(self.r, self.prec + 1)
+
+
+class Add(_Binary):
+    sym = "+"
+    prec = 1
 
     def evaluate(self, env):
         return self.l.evaluate(env) + self.r.evaluate(env)
 
 
-@dataclass(frozen=True)
-class Sub(Expression):
-    l: Expression
-    r: Expression
-
-    def variables(self):
-        return self.l.variables() | self.r.variables()
+class Sub(_Binary):
+    sym = "-"
+    prec = 1
 
     def evaluate(self, env):
         return self.l.evaluate(env) - self.r.evaluate(env)
 
 
-@dataclass(frozen=True)
-class Mul(Expression):
-    l: Expression
-    r: Expression
-
-    def variables(self):
-        return self.l.variables() | self.r.variables()
+class Mul(_Binary):
+    sym = "*"
+    prec = 2
 
     def evaluate(self, env):
         return self.l.evaluate(env) * self.r.evaluate(env)
 
 
-@dataclass(frozen=True)
-class Div(Expression):
-    l: Expression
-    r: Expression
-
-    def variables(self):
-        return self.l.variables() | self.r.variables()
+class Div(_Binary):
+    sym = "/"
+    prec = 2
 
     def evaluate(self, env):
         return self.l.evaluate(env) / self.r.evaluate(env)
@@ -291,11 +302,13 @@ class Div(Expression):
 class Neg(Expression):
     arg: Expression
 
-    def variables(self):
-        return self.arg.variables()
+    prec = 3
 
     def evaluate(self, env):
         return -self.arg.evaluate(env)
+
+    def __str__(self):
+        return "-" + _par(self.arg, self.prec)
 
 
 @dataclass(frozen=True)
@@ -307,8 +320,7 @@ class Pow(Expression):
     exponent: Expression
     exponent_value: float
 
-    def variables(self):
-        return self.base.variables()
+    prec = 4
 
     def evaluate(self, env):
         b = self.base.evaluate(env)
@@ -316,17 +328,21 @@ class Pow(Expression):
             return _pow_dual(b, self.exponent_value)
         return _pow_plain(b, self.exponent_value)
 
+    def __str__(self):
+        # base binds tighter than ^ only for atoms; ^ is right-associative
+        return _par(self.base, self.prec + 1) + "^" + _par(self.exponent, self.prec)
+
 
 @dataclass(frozen=True)
 class Call(Expression):
     func: str
     arg: Expression
 
-    def variables(self):
-        return self.arg.variables()
-
     def evaluate(self, env):
         return apply_function(self.func, self.arg.evaluate(env))
+
+    def __str__(self):
+        return f"{self.func}({self.arg})"
 
 
 def pow_expr(base: Expression, exponent: Expression) -> Pow:
@@ -335,56 +351,10 @@ def pow_expr(base: Expression, exponent: Expression) -> Pow:
     return Pow(base, exponent, float(exponent.evaluate({})))
 
 
-# precedence levels for printing: add 1, mul 2, unary 3, pow 4, atom 5
-def _prec(e: Expression) -> int:
-    if isinstance(e, (Add, Sub)):
-        return 1
-    if isinstance(e, (Mul, Div)):
-        return 2
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, Pow):
-        return 4
-    return 5
-
-
-def _pp(e: Expression, _ctx: int) -> str:
-    if isinstance(e, Lit):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.func}({_pp(e.arg, 0)})"
-    if isinstance(e, Neg):
-        a = _pp(e.arg, 0)
-        if _prec(e.arg) < 3:
-            a = f"({a})"
-        return f"-{a}"
-    if isinstance(e, Pow):
-        b = _pp(e.base, 0)
-        # base binds tighter than ^ only for atoms; ^ is right-associative
-        if _prec(e.base) <= 4:
-            b = f"({b})"
-        x = _pp(e.exponent, 0)
-        if _prec(e.exponent) < 4:
-            x = f"({x})"
-        return f"{b}^{x}"
-    if isinstance(e, Add):
-        op, lv, rv = "+", e.l, e.r
-    elif isinstance(e, Sub):
-        op, lv, rv = "-", e.l, e.r
-    elif isinstance(e, Mul):
-        op, lv, rv = "*", e.l, e.r
-    else:
-        op, lv, rv = "/", e.l, e.r
-    p = _prec(e)
-    ls = _pp(lv, 0)
-    if _prec(lv) < p:
-        ls = f"({ls})"
-    rs = _pp(rv, 0)
-    if _prec(rv) <= p:
-        rs = f"({rs})"
-    return f"{ls} {op} {rs}" if op in "+-" else f"{ls}{op}{rs}"
+def product(factors: Sequence[Expression]) -> Expression:
+    """The factors multiplied from the first, Mul(Mul(f0, f1), f2) and so on;
+    Lit(1.0) for none."""
+    return reduce(Mul, factors) if factors else Lit(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +616,16 @@ class _Tape:
             return self.power(a, A, float(e.exponent_value))
         if isinstance(e, Call):
             return self.call(e.func, a, A)
-        sym = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
         if A is None and B is None:
-            return self.tmp(f"{a} {sym} {b}"), None
+            return self.tmp(f"{a} {e.sym} {b}"), None
         if isinstance(e, (Add, Sub)):
             if B is None:
-                return self.tmp(f"{a} {sym} {b}"), A
+                return self.tmp(f"{a} {e.sym} {b}"), A
             if A is None:  # Dual1.__radd__ / __rsub__
                 if isinstance(e, Add):
                     return self.tmp(f"{b} + {a}"), B
                 return self.tmp(f"{a} - {b}"), self.each("-{}", B)
-            return self.tmp(f"{a} {sym} {b}"), self.each(f"{{}} {sym} {{}}", A, B)
+            return self.tmp(f"{a} {e.sym} {b}"), self.each(f"{{}} {e.sym} {{}}", A, B)
         if isinstance(e, Mul):
             if B is None:
                 return self.tmp(f"{a} * {b}"), self.each(f"{b} * {{}}", A)

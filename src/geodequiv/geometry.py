@@ -365,7 +365,7 @@ def integrate_geodesic(
 def arclength_reparam(
     traj: Trajectory,
     metric: MetricField,
-    count: int = 256,
+    count: int,
     length: float | None = None,
 ) -> np.ndarray:
     """Resample the base curve at `count` points equally spaced in the arc

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dsl
-from .dsl import Add, Div, Expression, Lit, Mul, Sub, eval_env
+from .dsl import Add, Div, Expression, Lit, Mul, Sub, eval_env, product
 from .geometry import Chart, MetricField
 from .hamilton import PhaseFunction
 from .integrals import MetricPair
@@ -112,13 +112,6 @@ class LCSpec:
             out.append((s, k))
             s += k
         return out
-
-
-def _prod_expr(factors: Sequence[Expression]) -> Expression:
-    out: Expression | None = None
-    for f in factors:
-        out = f if out is None else Mul(out, f)
-    return out if out is not None else Lit(1.0)
 
 
 def _mul_expr(a: Expression, b: Expression) -> Expression:
@@ -257,7 +250,7 @@ def _block_metric(chart: Chart, spans, phi_exprs, block_grids, denoms=None) -> M
 def _shifted_metric(chart: Chart, spans, phi_exprs, block_grids, c: float) -> MetricField:
     """sum_i Pi_i A_i / ((phi_i + c) prod_j (phi_j + c)); gbar at c = 0."""
     shifted = [Add(e, Lit(float(c))) if c != 0.0 else e for e in phi_exprs]
-    P = _prod_expr(shifted)
+    P = product(shifted)
     return _block_metric(chart, spans, phi_exprs, block_grids, [Mul(P, e) for e in shifted])
 
 
@@ -268,7 +261,7 @@ def _pi_expr(phi_exprs: Sequence[Expression], i: int) -> Expression:
             factors.append(Sub(phi_exprs[i], phi_exprs[j]))
         elif j > i:
             factors.append(Sub(phi_exprs[j], phi_exprs[i]))
-    return _prod_expr(factors)
+    return product(factors)
 
 
 def build_pair(spec: LCSpec, pair_id: str = "lc") -> LCPair:

@@ -23,8 +23,8 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(msg)
 
 
-def zeros_obj(n: int, m: int | None = None) -> np.ndarray:
-    a = np.empty((n, n if m is None else m), dtype=object)
+def zeros_obj(n: int) -> np.ndarray:
+    a = np.empty((n, n), dtype=object)
     a[...] = 0.0
     return a
 

@@ -10,12 +10,12 @@ from hypothesis import HealthCheck, settings
 
 from geodequiv import (
     GeodesicOptions,
-    battery,
-    build_pair,
     integrate_geodesic,
     resolve_pair,
 )
+from geodequiv.catalog import battery
 from geodequiv.cli import sample_phase_points
+from geodequiv.levicivita import build_pair
 
 settings.register_profile(
     "suite",

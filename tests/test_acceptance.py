@@ -14,11 +14,7 @@ the session fixtures in conftest.
 import numpy as np
 
 from geodequiv import (
-    EllipsoidSpec,
     GeodesicOptions,
-    ambient_pullbacks,
-    eigen_profile,
-    ellipsoid_pair,
     geodesic_coincidence,
     independence_rank,
     integrals_at,
@@ -27,8 +23,10 @@ from geodequiv import (
     involution_matrix,
     resolve_pair,
 )
+from geodequiv.catalog import EllipsoidSpec, ambient_pullbacks, ellipsoid_pair
 from geodequiv.cli import sample_phase_points
 from geodequiv.factory import factory_integrals, pfaffian, rank_one_delta
+from geodequiv.integrals import eigen_profile
 
 from conftest import EQUIV_PAIR_NAMES, report_line
 

@@ -144,6 +144,7 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
     ("verify", {"seed": 1.5}, {}, "seed must be an integer"),
     ("verify", {"t_end": "5"}, {}, "t_end must be a positive number"),
     ("verify", {"drift_tol": "1e-6"}, {}, "drift_tol must be a positive number"),
+    ("verify", {"out": 5}, {}, "out must be a path string"),
     ("verify", {"pair": {"coordinates": ["u", "v"], "box": [1, 2], "g[1][1]": "1",
                          "g[2][2]": "1", "gbar[1][1]": "1", "gbar[2][2]": "1"}},
      {}, '"box" must'),
@@ -151,7 +152,8 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
     ("verify", {}, {"blocks": [5, None]}, "blocks[] must"),
     ("levi-civita-build", None, {"box": [1, 2]}, "box[] must"),
     ("levi-civita-build", None, {"blocks": [5, None]}, "blocks[] must"),
-], ids=["points", "trajectories", "seed", "t_end", "drift_tol", "inline-box", "lc-box", "lc-blocks", "build-box", "build-blocks"])
+], ids=["points", "trajectories", "seed", "t_end", "drift_tol", "out", "inline-box", "lc-box",
+        "lc-blocks", "build-box", "build-blocks"])
 def test_malformed_config_is_a_config_error(capsys, tmp_path, command, run, spec, message):
     config = tmp_path / "spec.json"
     config.write_text(json.dumps({"sizes": [1, 1], "phi": ["1", "2"], **spec}))
@@ -398,7 +400,8 @@ def test_lc_build_round_trip(capsys, tmp_path):
     entry = json.loads(out)["pair"]
     rebuilt = pair_from_inline(entry)
 
-    from geodequiv import battery, build_pair
+    from geodequiv.catalog import battery
+    from geodequiv.levicivita import build_pair
 
     direct = build_pair(battery()["m2n2"]).pair
     rng = np.random.default_rng(9)

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from geodequiv.catalog import battery, resolve_pair
 from geodequiv.dsl import (
     Add,
     DomainError,
     DslSyntaxError,
     Lit,
     Pow,
+    Sub,
     UnknownIdentifierError,
     Var,
     eval_env,
@@ -210,6 +212,26 @@ def test_print_parse_round_trip(expr, v1, v2):
         assert math.isnan(float(got))
     else:
         assert float(got) == pytest.approx(float(want), rel=1e-12, abs=1e-12)
+
+
+CATALOG_TREE_PAIRS = ("sphere", "euclidean:3", "ellipsoid:1,2,3", "ellipsoid:1,2,3,5",
+                      *(f"lc-demo:{key}" for key in battery()),
+                      "falsify:perturbed-lc", "falsify:random-conformal")
+
+
+def test_catalog_trees_print_and_parse_back_to_the_same_tree():
+    trees = 0
+    for name in CATALOG_TREE_PAIRS:
+        pair = resolve_pair(name)
+        names = pair.g.chart.names
+        entries = [e for metric in (pair.g, pair.gbar) for row in metric.upper for e in row]
+        for e in entries + list(pair.g.chart.domain or ()):
+            assert parse(str(e), names) == e, (name, str(e))
+            trees += 1
+    assert trees == 116
+    x, y = Var("x1"), Var("x2")
+    assert Add(x, y) != Sub(x, y)
+    assert repr(Sub(x, y)) == "Sub(l=Var(name='x1'), r=Var(name='x2'))"
 
 
 def test_batched_evaluation_matches_scalar_loop():

@@ -230,9 +230,9 @@ def test_transfer_conserved_along_revolution_geodesics():
     """A normal-form pair whose data depend on the first coordinate only is a
     surface of revolution for both metrics; the lifted angular integral of
     gbar must be conserved along g-geodesics."""
-    from geodequiv import GeodesicOptions, build_pair, integrate_geodesic
+    from geodequiv import GeodesicOptions, integrate_geodesic
     from geodequiv.hamilton import conservation_drift
-    from geodequiv.levicivita import LCSpec
+    from geodequiv.levicivita import LCSpec, build_pair
 
     lc = build_pair(LCSpec(sizes=(1, 1), phi=("1 + 0.3*sin(x1)", "3")), pair_id="rev")
     pair = lc.pair
