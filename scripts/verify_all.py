@@ -2,7 +2,8 @@
 """Run the verification and factory batteries over the built-in pairs.
 
 Prints one line per pair and check, optionally writes the full JSON reports,
-and exits nonzero if any check fails.  Typical use:
+and exits 1 if any check fails and 2 on a configuration error, as the
+geodequiv command does.  Typical use:
 
     python3 scripts/verify_all.py --out-dir reports/
     python3 scripts/verify_all.py --pairs ellipsoid:1,2,3 sphere --trajectories 5
@@ -14,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from geodequiv.cli import RunConfig, cmd_factory, cmd_verify
+from geodequiv.cli import INPUT_ERRORS, RunConfig, cmd_factory, cmd_verify
 
 DEFAULT_PAIRS = (
     "ellipsoid:1,2,3",
@@ -33,7 +34,15 @@ def main(argv=None) -> int:
     ap.add_argument("--points", type=int, default=100)
     ap.add_argument("--out-dir", default=None, help="directory for full JSON reports")
     args = ap.parse_args(argv)
+    try:
+        return run_battery(args)
+    except INPUT_ERRORS as exc:
+        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 2
 
+
+def run_battery(args) -> int:
+    """Print one line per pair and check; returns 1 if any check failed."""
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

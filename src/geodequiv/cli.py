@@ -64,6 +64,10 @@ class ConfigError(ValueError):
     """Bad usage or configuration; maps to exit code 2."""
 
 
+# the errors that main reports as bad input, with exit code 2
+INPUT_ERRORS = (DslError, ValueError, KeyError, OSError, RuntimeError, ArithmeticError)
+
+
 @dataclass
 class RunConfig:
     """One experiment: a pair source plus sampling sizes and tolerances.
@@ -132,9 +136,19 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if "pair" not in kwargs:
         raise ConfigError("no pair given: use --pair or a config with a pair entry")
     try:
-        return RunConfig(**kwargs)
+        cfg = RunConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc))
+    # refuse an output path that cannot be written before any work is done;
+    # geodesic writes into a directory that it makes, the others one file
+    if cfg.out is not None:
+        path = Path(cfg.out)
+        if args.command == "geodesic":
+            if not cfg.out or (path.exists() and not path.is_dir()):
+                raise ConfigError(f"out must name a directory, not {cfg.out!r}")
+        elif not cfg.out or path.is_dir() or not path.parent.is_dir():
+            raise ConfigError(f"out must name a file in an existing directory, not {cfg.out!r}")
+    return cfg
 
 
 def pair_from_inline(doc: dict) -> MetricPair:
@@ -600,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DslError, ValueError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
 

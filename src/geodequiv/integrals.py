@@ -19,7 +19,6 @@ projective-factor integral exposed as painleve_I0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -77,23 +76,23 @@ def char_coeffs(G: np.ndarray) -> np.ndarray:
     det(G - mu E) in descending powers of mu, with c[0] = (-1)^n."""
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
-    cs = _char_coeffs_cells(matops.from_cells(G.tolist()))
-    return np.array([(-1.0) ** n] + [dsl.scalar_value(c) for c in cs[1:]], dtype=float)
-
-
-def _char_coeffs_cells(G: np.ndarray) -> list:
-    """Generic Faddeev-LeVerrier: returns [c_0 .. c_n] for det(G - mu E) with
-    c_0 = (-1)^n exactly.  Cells may be any scalar-like."""
-    n = G.shape[0]
     sign = (-1.0) ** n
-    # monic convention first: det(mu I - G) = mu^n + a_1 mu^{n-1} + ... + a_n
-    a = []
-    M = G.copy()
-    for k in range(1, n + 1):
-        if k > 1:
-            M = matops.matmul(G, matops.add_scaled_identity(M, a[-1]))
-        a.append((-1.0 / k) * matops.trace(M))
-    return [sign] + [sign * ak for ak in a]
+    return np.array([sign * a for a, _ in _faddeev_leverrier(matops.from_cells(G.tolist()), n)])
+
+
+def _faddeev_leverrier(G: np.ndarray, last: int):
+    """Yield (a_k, N_k) for k = 0..last, where det(mu E - G) = mu^n + a_1 mu^{n-1}
+    + ... + a_n and N_k = G^k + a_1 G^{k-1} + ... + a_k E, so that c_k = c_0 a_k
+    and S_k = c_0 N_k.  The trace recursion M_k = G N_{k-1},
+    a_k = -tr(M_k) / k, N_k = M_k + a_k E builds both.  Cells may be any
+    scalar-like."""
+    N = matops.add_scaled_identity(matops.zeros_obj(G.shape[0]), 1.0)
+    yield 1.0, N
+    for k in range(1, last + 1):
+        M = G if k == 1 else matops.matmul(G, N)
+        a = (-1.0 / k) * matops.trace(M)
+        N = matops.add_scaled_identity(M, a)
+        yield a, N
 
 
 def g_operator(pair: MetricPair, x) -> np.ndarray:
@@ -102,26 +101,17 @@ def g_operator(pair: MetricPair, x) -> np.ndarray:
 
 
 def s_matrix(pair: MetricPair, x, k: int) -> np.ndarray:
-    """S_k = sum_{i=0}^k c_i G^{k-i} (Horner accumulated) at the point x."""
+    """S_k = sum_{i=0}^k c_i G^{k-i} at the point x."""
     n = pair.dim
     if not 0 <= k <= n - 1:
         raise ValueError("k must lie in 0..n-1")
     G = matops.from_cells(g_operator(pair, x).tolist())
-    S = next(islice(_s_matrices(G, _char_coeffs_cells(G)), k, None))
-    return matops.values_matrix(S)
+    *_, (_, N) = _faddeev_leverrier(G, k)
+    return (-1.0) ** n * matops.values_matrix(N)
 
 
 # ---------------------------------------------------------------------------
 # the integrals
-
-
-def _s_matrices(G: np.ndarray, c: list):
-    """Yield S_0, S_1, ... by the Horner step S_k = S_{k-1} G + c_k E."""
-    S = matops.scale(matops.identity_obj(G.shape[0]), c[0])
-    yield S
-    for ck in c[1:]:
-        S = matops.add_scaled_identity(matops.matmul(S, G), ck)
-        yield S
 
 
 def _weight_data(pair: MetricPair, x_cells: list):
@@ -138,14 +128,15 @@ def _pipeline(pair: MetricPair, x_cells: list, xi_cells: list, ks: Sequence[int]
     n = pair.dim
     gb, Lg, logratio = _weight_data(pair, x_cells)
     G = matops.chol_solve_mat(Lg, gb)
+    sign = (-1.0) ** n  # c_0: S_k = c_0 N_k
     quads = {}
-    for k, S in enumerate(islice(_s_matrices(G, _char_coeffs_cells(G)), max(ks) + 1)):
+    for k, (_, N) in enumerate(_faddeev_leverrier(G, max(ks))):
         if k in ks:
-            u = matops.matvec(gb, matops.matvec(S, xi_cells))
+            u = matops.matvec(gb, matops.matvec(N, xi_cells))
             q = xi_cells[0] * u[0]
             for i in range(1, n):
                 q = q + xi_cells[i] * u[i]
-            quads[k] = q
+            quads[k] = sign * q
     return [d_exp(logratio * ((k + 2.0) / (n + 1.0))) * quads[k] for k in ks]
 
 

@@ -29,13 +29,6 @@ def zeros_obj(n: int) -> np.ndarray:
     return a
 
 
-def identity_obj(n: int) -> np.ndarray:
-    a = zeros_obj(n)
-    for i in range(n):
-        a[i, i] = 1.0
-    return a
-
-
 def from_cells(rows) -> np.ndarray:
     n = len(rows)
     a = np.empty((n, len(rows[0])), dtype=object)
@@ -75,14 +68,6 @@ def trace(a: np.ndarray):
     for i in range(1, a.shape[0]):
         s = s + a[i, i]
     return s
-
-
-def scale(a: np.ndarray, c) -> np.ndarray:
-    out = np.empty_like(a)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i, j] = a[i, j] * c
-    return out
 
 
 def add_scaled_identity(a: np.ndarray, c) -> np.ndarray:

@@ -7,6 +7,8 @@ All invocations go through main(argv) in-process; stdout is captured per call.
 
 import json
 import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +147,11 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
     ("verify", {"t_end": "5"}, {}, "t_end must be a positive number"),
     ("verify", {"drift_tol": "1e-6"}, {}, "drift_tol must be a positive number"),
     ("verify", {"out": 5}, {}, "out must be a path string"),
+    ("verify", {"out": ""}, {}, "out must name a file in an existing directory"),
+    ("verify", {"out": "missing/r.json"}, {}, "out must name a file in an existing directory"),
+    ("factory", {"out": "."}, {}, "out must name a file in an existing directory"),
+    ("geodesic", {"out": ""}, {}, "out must name a directory"),
+    ("geodesic", {"out": "spec.json"}, {}, "out must name a directory"),
     ("verify", {"pair": {"coordinates": ["u", "v"], "box": [1, 2], "g[1][1]": "1",
                          "g[2][2]": "1", "gbar[1][1]": "1", "gbar[2][2]": "1"}},
      {}, '"box" must'),
@@ -152,9 +159,20 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
     ("verify", {}, {"blocks": [5, None]}, "blocks[] must"),
     ("levi-civita-build", None, {"box": [1, 2]}, "box[] must"),
     ("levi-civita-build", None, {"blocks": [5, None]}, "blocks[] must"),
-], ids=["points", "trajectories", "seed", "t_end", "drift_tol", "out", "inline-box", "lc-box",
-        "lc-blocks", "build-box", "build-blocks"])
-def test_malformed_config_is_a_config_error(capsys, tmp_path, command, run, spec, message):
+], ids=["points", "trajectories", "seed", "t_end", "drift_tol", "out", "out-empty",
+        "out-missing-dir", "out-dir", "geodesic-out-empty", "geodesic-out-file", "inline-box",
+        "lc-box", "lc-blocks", "build-box", "build-blocks"])
+def test_malformed_config_is_a_config_error(capsys, monkeypatch, tmp_path, command, run, spec,
+                                            message):
+    """Each is refused with exit 2 before any geodesic is integrated; relative
+    out paths resolve in tmp_path, which holds the file spec.json."""
+    from geodequiv import cli
+
+    def no_integration(*args):
+        pytest.fail("a geodesic was integrated before the config error")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", no_integration)
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "spec.json"
     config.write_text(json.dumps({"sizes": [1, 1], "phi": ["1", "2"], **spec}))
     if run is not None:
@@ -165,6 +183,19 @@ def test_malformed_config_is_a_config_error(capsys, tmp_path, command, run, spec
     assert code == 2
     assert err.startswith("error")
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [["--pairs", "nosuch"],
+                                  ["--pairs", "sphere", "--trajectories", "0"]],
+                         ids=["pair", "trajectories"])
+def test_verify_all_script_exits_2_on_a_config_error(capsys, argv):
+    """scripts/verify_all.py keeps the exit-code contract of the command:
+    bad input is 2, not the 1 of a failed check."""
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "verify_all.py"))
+    assert script["main"](argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error [ConfigError]: ")
+    assert "PASS" not in captured.out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from geodequiv import matops
 from geodequiv.dsl import parse
 from geodequiv.geometry import Chart, MetricField
 from geodequiv.integrals import (
@@ -47,6 +48,16 @@ def constant_pair(g_diag, gbar_diag, n=None):
 def random_spd(rng, n):
     A = rng.normal(size=(n, n))
     return A @ A.T + n * np.eye(n)
+
+
+def constant_full_pair(g, gbar):
+    """Constant metrics with the given full (non-diagonal) matrices, so that G
+    is not diagonal and the recursion's rounding is not trivially exact."""
+    n = len(g)
+    chart = Chart(tuple(f"x{i+1}" for i in range(n)), sample_box=tuple((-1.0, 1.0) for _ in range(n)))
+    g, gbar = (MetricField.from_strings(chart, [[repr(float(v)) for v in row] for row in m])
+               for m in (g, gbar))
+    return MetricPair(g, gbar)
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +128,49 @@ def test_s_matrix_matches_naive_power_sum():
     n = 4
     gd = rng.uniform(0.5, 2.0, size=n)
     bd = rng.uniform(0.5, 2.0, size=n)
-    pair = constant_pair(gd, bd)
     x = np.zeros(n)
-    G = g_operator(pair, x)
+    for pair in (constant_pair(gd, bd), constant_full_pair(random_spd(rng, n), random_spd(rng, n))):
+        G = g_operator(pair, x)
+        c = char_coeffs(G)
+        for k in range(n):
+            naive = sum(c[i] * np.linalg.matrix_power(G, k - i) for i in range(k + 1))
+            assert np.allclose(s_matrix(pair, x, k), naive, rtol=1e-12, atol=1e-12)
+
+
+def test_integrals_match_float_formula_on_a_non_diagonal_pair():
+    """I_k = (det g / det gbar)^{(k+2)/(n+1)} gbar(S_k xi, xi) with S_k from
+    numpy matrix powers and char_coeffs, on a pair whose G is full."""
+    rng = np.random.default_rng(34)
+    n = 4
+    g, gbar = random_spd(rng, n), random_spd(rng, n)
+    pair = constant_full_pair(g, gbar)
+    xs = np.zeros((6, n))
+    xis = rng.normal(size=(6, n))
+    G = np.linalg.solve(g, gbar)
     c = char_coeffs(G)
+    ratio = np.linalg.det(g) / np.linalg.det(gbar)
+    want = np.empty((len(xis), n))
     for k in range(n):
-        naive = sum(c[i] * np.linalg.matrix_power(G, k - i) for i in range(k + 1))
-        assert np.allclose(s_matrix(pair, x, k), naive, rtol=1e-12, atol=1e-12)
+        S = sum(c[i] * np.linalg.matrix_power(G, k - i) for i in range(k + 1))
+        want[:, k] = ratio ** ((k + 2) / (n + 1)) * np.einsum("pi,ij,jk,pk->p", xis, gbar, S, xis)
+    assert np.allclose(integrals_at(pair, xs, xis), want, rtol=1e-10, atol=0)
+
+
+def test_integrals_at_takes_one_recursion_pass(monkeypatch):
+    """I_0..I_{n-1} need N_0..N_{n-1}: the trace recursion's n - 2 matrix
+    products and no second pass over G, so 2 on the 4-D normal form."""
+    pair = resolve_pair("lc-demo:m3n4")
+    xs, xis = sample_phase_points(pair, 3, np.random.default_rng(0))
+    calls = []
+    matmul = matops.matmul
+
+    def counting(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(matops, "matmul", counting)
+    integrals_at(pair, xs, xis)
+    assert len(calls) == 2
 
 
 def test_s_matrix_index_range():
