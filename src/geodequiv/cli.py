@@ -139,16 +139,22 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         cfg = RunConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc))
-    # refuse an output path that cannot be written before any work is done;
-    # geodesic writes into a directory that it makes, the others one file
-    if cfg.out is not None:
-        path = Path(cfg.out)
-        if args.command == "geodesic":
-            if not cfg.out or (path.exists() and not path.is_dir()):
-                raise ConfigError(f"out must name a directory, not {cfg.out!r}")
-        elif not cfg.out or path.is_dir() or not path.parent.is_dir():
-            raise ConfigError(f"out must name a file in an existing directory, not {cfg.out!r}")
+    _check_out(cfg.out, args.command == "geodesic")
     return cfg
+
+
+def _check_out(out: str | None, directory: bool) -> None:
+    """Refuse an output path that cannot be written, before any work is
+    done.  geodesic writes into a directory that it makes, the other
+    commands one file."""
+    if out is None:
+        return
+    path = Path(out)
+    if directory:
+        if not out or (path.exists() and not path.is_dir()):
+            raise ConfigError(f"out must name a directory, not {out!r}")
+    elif not out or path.is_dir() or not path.parent.is_dir():
+        raise ConfigError(f"out must name a file in an existing directory, not {out!r}")
 
 
 def pair_from_inline(doc: dict) -> MetricPair:
@@ -282,8 +288,8 @@ def _integrate_starts(pair: MetricPair, cfg: RunConfig, rng: np.random.Generator
     # tolerance: near chart walls RK45 at 1e-10 legitimately accumulates ~1e-8
     # relative energy error, which the drift check judges, not the gate
     opts = GeodesicOptions(energy_tol=1e-7)
-    return [integrate_geodesic(pair.g, x, xi, cfg.t_end, opts)
-            for x, xi in zip(*sample_phase_points(pair, cfg.trajectories, rng))]
+    xs, xis = sample_phase_points(pair, cfg.trajectories, rng)
+    return integrate_geodesic(pair.g, xs, xis, cfg.t_end, opts)
 
 
 def _check(name: str, value: float, tol: float) -> dict:
@@ -447,16 +453,18 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
     and summarize the unparameterized-curve distance per direction."""
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
-    starts = list(zip(*sample_phase_points(pair, cfg.trajectories, rng)))
+    xs, xis = sample_phase_points(pair, cfg.trajectories, rng)
     opts = GeodesicOptions(samples=1001, energy_tol=1e-7)
     out_dir = Path(cfg.out) if cfg.out is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+    # both metrics' curves from every start, in two lockstep integrations
+    tgs = integrate_geodesic(pair.g, xs, xis, cfg.t_end, opts)
+    vbs = xis / pair.gbar.norm(xs, xis)[:, None]
+    tbs = integrate_geodesic(pair.gbar, xs, vbs, cfg.t_end, opts)
 
     def one_direction(job):
-        pid, (x, xi) = job
-        tg = integrate_geodesic(pair.g, x, xi, cfg.t_end, opts)
-        tb = integrate_geodesic(pair.gbar, x, xi / pair.gbar.norm(x, xi), cfg.t_end, opts)
+        pid, (x, xi, tg, tb) = job
         dist = geodesic_coincidence(pair.g, pair.gbar, x, xi, length=cfg.t_end)
         row = {
             "point_id": pid,
@@ -476,7 +484,7 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
                     (out_dir / f"{name}.json").write_text(trajectory_to_json(traj))
         return row
 
-    rows = _pmap(one_direction, list(enumerate(starts)))
+    rows = _pmap(one_direction, list(enumerate(zip(xs, xis, tgs, tbs))))
     report = {
         "command": "geodesic",
         "pair": pair.pair_id,
@@ -500,6 +508,7 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
 def cmd_lc_build(config_path: str, out: str | None) -> int:
     """Build a normal-form pair from its JSON config and emit the equivalent
     inline metric-pair config (DSL strings keyed g[i][j] / gbar[i][j])."""
+    _check_out(out, False)
     try:
         lc = build_pair(lcspec_from_json(_read_json(config_path)))
     except (ValueError, DslError) as exc:
@@ -522,6 +531,7 @@ def cmd_lc_build(config_path: str, out: str | None) -> int:
 
 def cmd_catalog(out_format: str, out: str | None) -> int:
     """List the built-in pair names with one-line descriptions."""
+    _check_out(out, False)
     entries = [
         {"name": "sphere", "info": "round 2-sphere with itself (sanity pair)"},
         {"name": "euclidean:<n>", "info": "flat identity pair in n dimensions"},

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import dsl, matops
 from .dsl import Expression, eval_env, parse
-from .ode import solve_ivp
+from .ode import solve_ivp, solve_ivp_stack
 
 
 class ChartDomainError(ValueError):
@@ -256,12 +256,15 @@ def _christoffel_from(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return 0.5 * sol.reshape(S.shape)
 
 
-def geodesic_rhs(t: float, y: np.ndarray, metric: MetricField) -> np.ndarray:
-    """The geodesic flow on the state y = (x, xi): (xi, -Gamma(x)(xi, xi))."""
+def geodesic_rhs(t, y: np.ndarray, metric: MetricField) -> np.ndarray:
+    """The geodesic flow on the state y = (x, xi): (xi, -Gamma(x)(xi, xi)).
+    y may be a (k, 2n) stack of states, giving one row each, bit for bit the
+    single-state values: the stacked contraction must be this einsum."""
     n = metric.dim
-    xi = y[n:]
-    gamma = christoffel(metric, y[:n])
-    return np.concatenate([xi, -np.einsum("kij,i,j->k", gamma, xi, xi)])
+    xi = y[..., n:]
+    gamma = christoffel(metric, y[..., :n])
+    spec = "kij,i,j->k" if y.ndim == 1 else "nkij,ni,nj->nk"
+    return np.concatenate([xi, -np.einsum(spec, gamma, xi, xi)], axis=-1)
 
 
 @dataclass
@@ -315,13 +318,16 @@ def integrate_geodesic(
     xi,
     t_end: float,
     opts: GeodesicOptions | None = None,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Integrate the geodesic flow from the phase point (x, xi) with an
-    embedded RK 5(4) scheme.
+    embedded RK 5(4) scheme, giving a Trajectory.  x and xi may also be
+    (K, n) stacks of starts, integrated in lockstep, giving a list of K
+    Trajectory equal to those of K single calls.
 
     Leaving the chart domain is a soft stop: the trajectory is truncated at
     the crossing and flagged.  A relative energy drift above opts.energy_tol
-    raises EnergyDriftError.
+    raises EnergyDriftError.  A stack raises the drift or integration error
+    of its first start that fails, as a loop over the starts would.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -330,13 +336,22 @@ def integrate_geodesic(
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     chart = metric.chart
-    if not chart.contains(x):
-        raise ChartDomainError(f"initial point {x.tolist()} is outside the chart domain")
     n = metric.dim
+    for x0 in x.reshape(-1, n):
+        if not chart.contains(x0):
+            raise ChartDomainError(f"initial point {x0.tolist()} is outside the chart domain")
     # the chart-exit event is the domain margin at the state's base point
-    exit_event = None if chart.domain is None else lambda t, y: chart.domain_margin(y[:n])
-    sol = solve_ivp(lambda t, y: geodesic_rhs(t, y, metric), (0.0, t_end),
-                    np.concatenate([x, xi]), opts.tol, exit_event)
+    exit_event = None if chart.domain is None else lambda t, y: chart.domain_margin(y[..., :n])
+    args = (lambda t, y: geodesic_rhs(t, y, metric), (0.0, t_end),
+            np.concatenate([x, xi], axis=-1), opts.tol, exit_event)
+    if x.ndim == 1:
+        return _trajectory(metric, solve_ivp(*args), opts)
+    return [_trajectory(metric, sol, opts) for sol in solve_ivp_stack(*args)]
+
+
+def _trajectory(metric: MetricField, sol, opts: GeodesicOptions) -> Trajectory:
+    """The trajectory of one integration: its dense output resampled, with
+    the energy self-check."""
     if sol.status == -1:
         raise IntegrationError(f"geodesic integration failed: {sol.message}")
     left = sol.status == 1
@@ -349,6 +364,7 @@ def integrate_geodesic(
     ys = sol.sol(ts).T
     if left:
         ys[-1] = sol.y_event
+    n = metric.dim
     traj = Trajectory(metric, ts, ys[:, :n], ys[:, n:], left_domain=left)
     E = traj.energies()
     drift = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-300))

@@ -2,11 +2,14 @@
 
 `solve_ivp` is scipy's `solve_ivp(method="RK45", dense_output=True)` for a
 forward span and one terminal event that fires where it crosses zero
-downwards, and `brentq` is scipy's brentq.c: scipy's arithmetic with scipy's
-numpy calls in scipy's order, so the results equal scipy's bit for bit.
+downwards, and `brentq` is scipy's brentq.c: scipy's arithmetic in scipy's
+order, so the results equal scipy's bit for bit.  `solve_ivp_stack` runs
+the same steps on a stack of starts in lockstep, one row per start; its
+stacked matmuls equal scipy's per-start `np.dot` bit for bit.
 Dormand & Prince (1980); Hairer, Norsett & Wanner, Solving ODEs I, II.4.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import groupby
@@ -103,91 +106,160 @@ class OdeResult:
     message: str | None
 
 
-def rms_norm(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+def rms_norms(x):
+    """The RMS norm of each row of x (k, m).  A stacked matmul, which equals
+    np.linalg.norm(row) / sqrt(m) bit for bit; a norm over axis 1 does not."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) / x.shape[1] ** 0.5
+
+
+def _at_rows(fn, t, y):
+    """fn at the times t (k,) and states y (k, m), as a (k, ...) array.  A
+    single row goes through fn's point path, which is several times cheaper
+    than a stack of one."""
+    if len(y) == 1:
+        return np.asarray(fn(t[0], y[0]))[None]
+    return fn(t, y)
+
+
+class _Row:
+    """One start in solve_ivp_stack: its time, step size and the step's
+    least size, whether the step was rejected, the event value, the count of
+    evaluations, the step ends with their dense output, and the result once
+    it finishes."""
+
+    __slots__ = ("t", "t_new", "h_abs", "min_step", "rejected", "g", "nfev", "ts",
+                 "interpolants", "result")
+
+    def __init__(self, t, h_abs, g):
+        self.t, self.h_abs, self.g = t, h_abs, g
+        self.rejected, self.nfev, self.ts, self.interpolants, self.result = False, 2, [t], [], None
+        self.start_step()
+
+    def start_step(self):
+        self.min_step = 10 * abs(math.nextafter(self.t, math.inf) - self.t)
+        self.h_abs = max(self.h_abs, self.min_step)
+
+    def propose(self, t_bound):
+        """The time and the step of the next attempt, which ends at t_new,
+        clipped to t_bound."""
+        t_new = self.t + self.h_abs
+        self.t_new = t_bound if t_new - t_bound > 0 else t_new
+        h = self.t_new - self.t
+        self.h_abs = abs(h)
+        return self.t, h
+
+    def adapt(self, error_norm: float) -> bool:
+        """Scale the step after an attempt with this error norm; True when the
+        attempt is accepted.  A rejected step that falls below min_step
+        finishes the row.  Scalar `**`: np.power on an array rounds
+        differently."""
+        self.nfev += 6
+        if error_norm < 1:
+            factor = (MAX_FACTOR if error_norm == 0
+                      else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
+            self.h_abs *= min(1, factor) if self.rejected else factor
+            self.rejected = False
+            return True
+        self.h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+        self.rejected = True
+        if self.h_abs < self.min_step:  # a NaN step is attempted again, as in scipy
+            self.finish(-1, "Required step size is less than spacing between numbers.", None, None)
+        return False
+
+    def finish(self, status, message, t_event, y_event):
+        ts = np.array(self.ts)
+        self.result = OdeResult(ts, OdeSolution(ts, self.interpolants), t_event, y_event,
+                                self.nfev, status, message)
 
 
 def solve_ivp(fun, t_span, y0, tol, event) -> OdeResult:
     """Integrate y' = fun(t, y) from y(t0) = y0 over t_span = (t0, t_bound),
     t_bound > t0, keeping the local error estimate below tol (1 + |y|).
     When event(t, y), unless None, goes from >= 0 at one step end to <= 0 at
-    the next, the integration stops at its root in that step."""
-    t, t_bound = map(float, t_span)
+    the next, the integration stops at its root in that step.  The one-row
+    view of solve_ivp_stack."""
+    return solve_ivp_stack(fun, t_span, np.asarray(y0, dtype=float)[None], tol, event)[0]
+
+
+def solve_ivp_stack(fun, t_span, y0s, tol, event) -> list[OdeResult]:
+    """solve_ivp from every row of y0s (K, m), in lockstep: each pass makes
+    one step attempt on every unfinished row, with one call of fun per stage
+    on all of them.  Every row keeps its own time, step, rejections, event
+    value and dense output, and leaves the stack when it finishes, so row
+    k's result equals solve_ivp from y0s[k] bit for bit.  fun(t, y) and
+    event(t, y) take a time and a state (m,), or times (k,) and states
+    (k, m) for k > 1."""
+    t0, t_bound = map(float, t_span)
     atol = rtol = tol
     if rtol < 100 * EPS:
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.", stacklevel=2)
         rtol = 100 * EPS
-    y = np.asarray(y0, dtype=float)
-    f = fun(t, y)
+    y = np.asarray(y0s, dtype=float)
+    t = np.full(len(y), t0)
+    f = _at_rows(fun, t, y)
     # the first step, from one more evaluation of fun
-    interval_length = abs(t_bound - t)
+    interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y) * rtol
-    d0 = rms_norm(y / scale)
-    d1 = rms_norm(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    d2 = rms_norm((fun(t + h0, y + h0 * f) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, interval_length)
-    nfev = 2
-    K = np.empty((7, y.size))
-    ts, interpolants = [t], []
-    t_event = y_event = None
-    g = None if event is None else event(t, y)
-    status = message = None
-    while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while not h_abs < min_step:  # a NaN step is attempted, as in scipy
-            t_new = t + h_abs
-            if t_new - t_bound > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, 6):
-                dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = fun(t + C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = K[-1] = fun(t + h, y_new)
-            nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = rms_norm(np.dot(K.T, E) * h / scale)
-            if error_norm < 1:
-                factor = (MAX_FACTOR if error_norm == 0
-                          else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-            rejected = True
-        else:  # the step size fell below min_step
-            status, message = -1, "Required step size is less than spacing between numbers."
-            break
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        if t - t_bound >= 0:
-            status = 0
-        interpolants.append(RkDenseOutput(t_old, t - t_old, y_old, K.T.dot(P)))
-        if event is not None:
-            g_new = event(t, y)
-            if g >= 0 and g_new <= 0:
-                sol = interpolants[-1]
-                t = t_event = brentq(lambda s: event(s, sol(s)), t_old, t)
-                y_event = sol(t)
-                status = 1
-            g = g_new
-        # a root at the step's start adds no step
-        if len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
+    d0, d1 = rms_norms(y / scale).tolist(), rms_norms(f / scale).tolist()
+    h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval_length)
+                   for a, b in zip(d0, d1)])
+    d2 = (rms_norms((_at_rows(fun, t + h0, y + h0[:, None] * f) - f) / scale) / h0).tolist()
+    h1 = [max(1e-6, h * 1e-3) if b <= 1e-15 and c <= 1e-15 else (0.01 / max(b, c)) ** (1 / 5)
+          for h, b, c in zip(h0.tolist(), d1, d2)]
+    g = [None] * len(y) if event is None else _at_rows(event, t, y).tolist()
+    everyone = rows = [_Row(t0, min(100 * a, b, interval_length), c)
+                       for a, b, c in zip(h0.tolist(), h1, g)]
+    while rows:
+        t, h = np.array([row.propose(t_bound) for row in rows]).T
+        hc = h[:, None]
+        stage_t = t[:, None] + hc * C
+        K = np.empty((len(rows), 7, y.shape[1]))
+        K[:, 0] = f
+        for s in range(1, 6):
+            dy = (A[s, :s] @ K[:, :s]) * hc
+            K[:, s] = _at_rows(fun, stage_t[:, s], y + dy)
+        y_new = y + hc * (B @ K[:, :-1])
+        f_new = K[:, -1] = _at_rows(fun, t + h, y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = rms_norms((E @ K) * hc / scale).tolist()
+        accepted = [i for i, (row, e) in enumerate(zip(rows, error_norm)) if row.adapt(e)]
+        y_old = y
+        if len(accepted) == len(rows):
+            y, f, new = y_new, f_new, slice(None)  # no fancy indexing in the common case
         else:
-            ts.append(t)
-    ts = np.array(ts)
-    return OdeResult(ts, OdeSolution(ts, interpolants), t_event, y_event, nfev, status, message)
+            y, f, new = y.copy(), f.copy(), accepted
+            y[new], f[new] = y_new[new], f_new[new]
+        Q = K.transpose(0, 2, 1) @ P
+        if event is not None and accepted:
+            g = _at_rows(event, np.array([rows[i].t_new for i in accepted]), y_new[new]).tolist()
+        for j, i in enumerate(accepted):
+            row = rows[i]
+            t_old = row.t
+            row.t = t_end = row.t_new
+            sol = RkDenseOutput(t_old, row.t - t_old, y_old[i], Q[i])
+            row.interpolants.append(sol)
+            status = 0 if t_end - t_bound >= 0 else None
+            t_event = y_event = None
+            if event is not None:
+                if row.g >= 0 and g[j] <= 0:
+                    t_end = t_event = brentq(lambda s: event(s, sol(s)), t_old, row.t)
+                    y_event = sol(t_end)
+                    status = 1
+                row.g = g[j]
+            # a root at the step's start adds no step
+            if len(row.ts) > 1 and row.ts[-1] == t_end:
+                row.interpolants.pop()
+            else:
+                row.ts.append(t_end)
+            if status is None:
+                row.start_step()
+            else:
+                row.finish(status, None, t_event, y_event)
+        keep = [i for i, row in enumerate(rows) if row.result is None]
+        if len(keep) < len(rows):
+            rows, y, f = [rows[i] for i in keep], y[keep], f[keep]
+    return [row.result for row in everyone]
 
 
 def brentq(f, a, b) -> float:

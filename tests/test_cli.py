@@ -185,6 +185,30 @@ def test_malformed_config_is_a_config_error(capsys, monkeypatch, tmp_path, comma
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--out", ""],
+    ["catalog", "--format", "csv", "--out", "missing/c.csv"],
+    ["catalog", "--out", "."],
+    ["levi-civita-build", "--config", "spec.json", "--out", ""],
+    ["levi-civita-build", "--config", "spec.json", "--out", "missing/pair.json"],
+], ids=["catalog-empty", "catalog-missing-dir", "catalog-dir", "build-empty", "build-missing-dir"])
+def test_unwritable_out_of_catalog_and_build_is_a_config_error(capsys, monkeypatch, tmp_path,
+                                                               argv):
+    """catalog and levi-civita-build refuse the out paths that the other
+    commands refuse, naming out, before any pair is built."""
+    from geodequiv import cli
+
+    def no_build(*args):
+        pytest.fail("a pair was built before the config error")
+
+    monkeypatch.setattr(cli, "build_pair", no_build)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({"sizes": [1, 1], "phi": ["1", "2"]}))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: out must name a file in an existing directory")
+
+
 @pytest.mark.parametrize("argv", [["--pairs", "nosuch"],
                                   ["--pairs", "sphere", "--trajectories", "0"]],
                          ids=["pair", "trajectories"])
@@ -488,6 +512,30 @@ def test_cmd_factory_report_shape():
     assert {c["name"] for c in report["checks"]} == {
         "factory-remainder", "factory-crosscheck", "factory-conservation",
     }
+
+
+@pytest.mark.parametrize("command, stacks", [("verify", 1), ("factory", 1), ("geodesic", 2)])
+def test_commands_integrate_all_their_starts_in_one_call_per_metric(capsys, monkeypatch,
+                                                                     command, stacks):
+    """verify and factory integrate every start of g in one stacked call,
+    geodesic those of g and of gbar in one each; only the coincidence search
+    integrates single starts."""
+    from geodequiv import cli, geometry
+
+    calls = []
+
+    def counting(metric, x, xi, *args, _orig=geometry.integrate_geodesic):
+        calls.append(np.shape(x))
+        return _orig(metric, x, xi, *args)
+
+    monkeypatch.setattr(cli, "integrate_geodesic", counting)
+    monkeypatch.setattr(geometry, "integrate_geodesic", counting)
+    code, _, _ = run_cli(capsys, command, "--pair", "lc-demo:m2n2", "--trajectories", "3",
+                         "--points", "5")
+    assert code == 0
+    assert [c for c in calls if len(c) == 2] == [(3, 2)] * stacks
+    singles = sum(len(c) == 1 for c in calls)
+    assert singles >= 6 if command == "geodesic" else singles == 0
 
 
 def test_verify_runs_the_integral_pipeline_once_per_stage(monkeypatch):

@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from geodequiv import resolve_pair
+from geodequiv.cli import sample_phase_points
 from geodequiv.dsl import parse
 from geodequiv.geometry import (
     Chart,
     ChartDomainError,
+    EnergyDriftError,
     GeodesicOptions,
     MetricField,
     Trajectory,
@@ -208,6 +211,11 @@ def test_geodesic_rhs_shapes():
     assert dy.shape == (4,)
     assert np.array_equal(dy[:2], xi)
     assert np.array_equal(dy[2:], -np.einsum("kij,i,j->k", christoffel(g, x), xi, xi))
+    # a stack of states gives each state's row, bit for bit
+    states = np.random.default_rng(2).uniform(0.3, 1.2, (6, 4))
+    stacked = geodesic_rhs(np.zeros(6), states, g)
+    assert stacked.shape == (6, 4)
+    assert stacked.tobytes() == np.array([geodesic_rhs(0.0, y, g) for y in states]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +256,43 @@ def test_domain_exit_truncates_and_flags():
     assert traj.xs[-1][0] == pytest.approx(1.0, abs=1e-9)
     # resampling still fills the requested sample count over the covered span
     assert len(traj) == GeodesicOptions().samples
+
+
+@pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "lc-demo:m3n4", "falsify:random-conformal"])
+def test_a_stack_of_starts_integrates_as_a_loop_over_them(name):
+    """Trajectory by trajectory, bit for bit; the ellipsoid's leave the chart."""
+    pair = resolve_pair(name)
+    xs, xis = sample_phase_points(pair, 5, np.random.default_rng(11))
+    opts = GeodesicOptions(energy_tol=1e-7)
+    stacked = integrate_geodesic(pair.gbar, xs, xis, 5.0, opts)
+    looped = [integrate_geodesic(pair.gbar, x, xi, 5.0, opts) for x, xi in zip(xs, xis)]
+    assert len(stacked) == len(looped) == 5
+    for a, b in zip(stacked, looped):
+        for field in ("ts", "xs", "xis"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert (a.left_domain, a.energy_drift) == (b.left_domain, b.energy_drift)
+    assert any(t.left_domain for t in stacked) == name.startswith("ellipsoid")
+    one = integrate_geodesic(pair.gbar, xs[:1], xis[:1], 5.0, opts)
+    assert len(one) == 1 and one[0].xs.tobytes() == looped[0].xs.tobytes()
+
+
+def test_a_stack_raises_the_drift_error_of_a_loop_over_its_starts():
+    """With energy_tol at the first start's drift, which is the least, a
+    later start fails first, in the stack as in the loop."""
+    pair = resolve_pair("lc-demo:m2n2")
+    xs, xis = sample_phase_points(pair, 6, np.random.default_rng(4))
+    drifts = [t.energy_drift for t in integrate_geodesic(pair.g, xs, xis, 5.0)]
+    order = np.argsort(drifts)
+    xs, xis = xs[order], xis[order]
+    assert drifts[order[0]] < drifts[order[-1]]
+    opts = GeodesicOptions(energy_tol=drifts[order[0]])
+    with pytest.raises(EnergyDriftError) as looped:
+        for x, xi in zip(xs, xis):
+            integrate_geodesic(pair.g, x, xi, 5.0, opts)
+    with pytest.raises(EnergyDriftError) as stacked:
+        integrate_geodesic(pair.g, xs, xis, 5.0, opts)
+    assert str(stacked.value) == str(looped.value)
+    assert stacked.value.drift > opts.energy_tol
 
 
 def test_start_outside_domain_raises():
@@ -341,7 +386,7 @@ def test_arc_length_of_unit_speed_geodesic():
 def test_coincidence_measures_each_trajectory_once(name, monkeypatch):
     """The retry loop's last arc length serves the comparison window: the
     conformal control re-integrates gbar, the ellipsoid leaves its chart."""
-    from geodequiv import geometry, resolve_pair
+    from geodequiv import geometry
 
     measured = []
 

@@ -32,39 +32,51 @@ _scipy_chart_exit.terminal = True
 _scipy_chart_exit.direction = -1
 
 
+def assert_matches_scipy(got, ref):
+    assert (got.status, got.nfev) == (ref.status, ref.nfev)
+    assert bitwise_equal(got.t, ref.t)
+    ts = np.linspace(0.0, float(ref.t[-1]), 1001)
+    assert bitwise_equal(got.sol(ts[::-1]), ref.sol(ts[::-1]))
+    if ref.status == 1:
+        assert bitwise_equal(got.t_event, ref.t_events[0][0])
+        assert bitwise_equal(got.y_event, ref.y_events[0][0])
+    else:
+        assert got.t_event is None and got.y_event is None
+
+
 @pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "lc-demo:m2n2", "lc-demo:m3n4",
-                                  "falsify:perturbed-lc"])
+                                  "falsify:perturbed-lc", "falsify:random-conformal"])
 def test_rk45_matches_scipy_bitwise(name):
+    """A single start, a lockstep stack of four starts and a stack of one,
+    row by row against scipy."""
     pair = resolve_pair(name)
-    xs, xis = sample_phase_points(pair, 3, np.random.default_rng(3))
-    exits = rejections = 0
+    xs, xis = sample_phase_points(pair, 4, np.random.default_rng(3))
+    y0s = np.concatenate([xs, xis], axis=1)
+    exits = rejections = uneven = 0
     for tol in (1e-10, 1e-8):
         for metric in (pair.g, pair.gbar):
             chart, n = metric.chart, metric.dim
-            for x, xi in zip(xs, xis):
-                y0 = np.concatenate([x, xi])
-                ref = scipy_solve_ivp(
-                    geodesic_rhs, (0.0, 5.0), y0, method="RK45", rtol=tol, atol=tol,
-                    events=None if chart.domain is None else [_scipy_chart_exit],
-                    dense_output=True, args=(metric,))
-                got = ode.solve_ivp(
-                    lambda t, y: geodesic_rhs(t, y, metric), (0.0, 5.0), y0, tol,
-                    None if chart.domain is None else lambda t, y: chart.domain_margin(y[:n]))
-                assert (got.status, got.nfev) == (ref.status, ref.nfev)
-                assert bitwise_equal(got.t, ref.t)
-                ts = np.linspace(0.0, float(ref.t[-1]), 1001)
-                assert bitwise_equal(got.sol(ts[::-1]), ref.sol(ts[::-1]))
-                if ref.status == 1:
-                    assert bitwise_equal(got.t_event, ref.t_events[0][0])
-                    assert bitwise_equal(got.y_event, ref.y_events[0][0])
-                else:
-                    assert got.t_event is None and got.y_event is None
-                exits += ref.status == 1
-                # every attempted step costs six evaluations, the start two
-                rejections += ref.nfev > 2 + 6 * (len(ref.t) - 1)
-    # the cases cover the step-rejection loop and, on the ellipsoid, the
-    # chart-exit root
-    assert rejections > 0
+            event = None if chart.domain is None else lambda t, y: chart.domain_margin(y[..., :n])
+            refs = [scipy_solve_ivp(
+                geodesic_rhs, (0.0, 5.0), y0, method="RK45", rtol=tol, atol=tol,
+                events=None if chart.domain is None else [_scipy_chart_exit],
+                dense_output=True, args=(metric,)) for y0 in y0s]
+            rhs = lambda t, y: geodesic_rhs(t, y, metric)
+            stack = ode.solve_ivp_stack(rhs, (0.0, 5.0), y0s, tol, event)
+            one = ode.solve_ivp_stack(rhs, (0.0, 5.0), y0s[1:2], tol, event)
+            single = ode.solve_ivp(rhs, (0.0, 5.0), y0s[2], tol, event)
+            for got, ref in zip(stack + one + [single], refs + refs[1:3]):
+                assert_matches_scipy(got, ref)
+            exits += sum(ref.status == 1 for ref in refs)
+            # every attempted step costs six evaluations, the start two
+            rejections += sum(ref.nfev > 2 + 6 * (len(ref.t) - 1) for ref in refs)
+            # the stack's rows finish after different step counts
+            uneven += len({len(ref.t) for ref in refs}) > 1
+    # the cases cover rows leaving the stack at different passes, the
+    # step-rejection loop (which the conformal control's smooth flow never
+    # enters) and, on the ellipsoid, the chart-exit root
+    assert uneven > 0
+    assert (rejections > 0) == (name != "falsify:random-conformal")
     assert (exits > 0) == name.startswith("ellipsoid")
 
 
