@@ -240,8 +240,13 @@ def sample_phase_points(
 
 
 def _max_workers(n_jobs: int) -> int:
+    """The pool size for n_jobs jobs: GEODEQUIV_THREADS, else the CPU count,
+    clamped to 1 .. n_jobs.  Raises ConfigError when the cap is no integer."""
     cap = os.environ.get("GEODEQUIV_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigError(f"GEODEQUIV_THREADS must be an integer, not {cap!r}") from None
     return max(1, min(n_jobs, limit))
 
 
@@ -451,6 +456,7 @@ def _factory_csv(report: dict) -> str:
 def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
     """Integrate seeded geodesics of both metrics, export the trajectories,
     and summarize the unparameterized-curve distance per direction."""
+    _max_workers(cfg.trajectories)  # refuse a malformed thread cap before any work
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
     xs, xis = sample_phase_points(pair, cfg.trajectories, rng)

@@ -355,7 +355,7 @@ def _trajectory(metric: MetricField, sol, opts: GeodesicOptions) -> Trajectory:
     if sol.status == -1:
         raise IntegrationError(f"geodesic integration failed: {sol.message}")
     left = sol.status == 1
-    t_reached = sol.t_event if left else float(sol.t[-1])
+    t_reached = float(sol.t[-1])  # the chart exit's root, when it fired
     if t_reached <= 0.0:
         raise IntegrationError("trajectory left the chart domain immediately")
     # resample the dense interpolant uniformly over the span actually covered,
@@ -493,17 +493,13 @@ def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float
     # integration window until the g-length target is reached or the chart ends
     t_end = float(length)
     tb = integrate_geodesic(gbar, x, vb, t_end, opts)
-    covered = None  # g-arc-length of the current tb, once measured
     for _ in range(8):
-        if tb.left_domain:
-            break
         covered = arc_length(tb, g)
-        if covered >= length:
+        if tb.left_domain or covered >= length:
             break
         t_end *= max(1.5, 1.2 * float(length) / max(covered, 1e-12))
         tb = integrate_geodesic(gbar, x, vb, t_end, opts)
-        covered = None
-    if covered is None:
+    else:
         covered = arc_length(tb, g)
     window = min(float(length), arc_length(tg, g), covered)
     c1 = arclength_reparam(tg, g, 2048, length=window)

@@ -12,7 +12,6 @@ Dormand & Prince (1980); Hairer, Norsett & Wanner, Solving ODEs I, II.4.
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -46,60 +45,54 @@ P = np.array([
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
 
-@dataclass
-class RkDenseOutput:
-    """The quartic interpolant over one accepted step from t_old to t_old + h."""
-
-    t_old: float
-    h: float
-    y_old: np.ndarray
-    Q: np.ndarray
-
-    def __call__(self, t):
-        """The state at a time, or the (n, K) states at K times."""
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h  # the powers x .. x^4 weight the columns of Q
-        if t.ndim == 0:
-            return self.h * np.dot(self.Q, np.cumprod(np.tile(x, 4))) + self.y_old
-        p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-        return self.h * np.dot(self.Q, p) + self.y_old[:, None]
+def dense_state(step, t):
+    """The state at the time t of the step record (t_old, h, y_old, Q), on
+    scipy's scalar path: the quartic interpolant in the step fraction x."""
+    t_old, h, y_old, Q = step
+    x = (t - t_old) / h
+    return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
 
 
 @dataclass
 class OdeSolution:
-    """The dense output over all accepted steps; a step end takes the earlier step's."""
+    """The dense output over S accepted steps: the step ends ts (S + 1,),
+    whose first S entries are the step starts, and per step its size h (S,),
+    start state y_old (S, m) and interpolant coefficients Q (S, m, 4).  A
+    step end takes the earlier step's interpolant."""
 
     ts: np.ndarray
-    interpolants: list
+    h: np.ndarray
+    y_old: np.ndarray
+    Q: np.ndarray
 
     def __call__(self, t):
-        """The (n, K) states at the K times of the 1-D array t, in its order."""
+        """The (m, K) states at the K times of the 1-D array t, in any order.
+        The times are sorted and each step touched makes one np.dot on its
+        own times, as scipy does: a product over other columns, or on
+        strided ones, rounds differently."""
         t = np.asarray(t)
         order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
         t_sorted = t[order]
-        segments = np.searchsorted(self.ts, t_sorted, side="left")
-        segments = np.clip(segments - 1, 0, len(self.interpolants) - 1)
-        ys = []
-        start = 0
-        for segment, group in groupby(segments):
-            end = start + len(list(group))
-            ys.append(self.interpolants[segment](t_sorted[start:end]))
-            start = end
-        return np.hstack(ys)[:, reverse]
+        steps = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, len(self.h) - 1)
+        h = self.h[steps]
+        x = (t_sorted - self.ts[steps]) / h
+        p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+        D = np.empty((self.Q.shape[1], len(t)))
+        starts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(t)]
+        for a, b in zip(starts, starts[1:]):
+            D[:, a:b] = np.dot(self.Q[steps[a]], np.ascontiguousarray(p[:, a:b]))
+        return (h * D + self.y_old[steps].T)[:, np.argsort(order)]
 
 
 @dataclass
 class OdeResult:
     """The step ends t (the event's root last, if it fired), the dense output
-    over them, and the event's root and state, None unless it fired. status is
-    0 at the span's end, 1 at the event, -1 (with a message) at a step below
-    float spacing."""
+    over them, and the state at the event's root, None unless it fired.
+    status is 0 at the span's end, 1 at the event, -1 (with a message) at a
+    step below float spacing."""
 
     t: np.ndarray
     sol: OdeSolution
-    t_event: float | None
     y_event: np.ndarray | None
     nfev: int
     status: int
@@ -124,15 +117,15 @@ def _at_rows(fn, t, y):
 class _Row:
     """One start in solve_ivp_stack: its time, step size and the step's
     least size, whether the step was rejected, the event value, the count of
-    evaluations, the step ends with their dense output, and the result once
-    it finishes."""
+    evaluations, the step ends, one (t_old, h, y_old, Q) record per accepted
+    step, and the result once it finishes."""
 
-    __slots__ = ("t", "t_new", "h_abs", "min_step", "rejected", "g", "nfev", "ts",
-                 "interpolants", "result")
+    __slots__ = ("t", "t_new", "h_abs", "min_step", "rejected", "g", "nfev", "ts", "steps",
+                 "result")
 
     def __init__(self, t, h_abs, g):
         self.t, self.h_abs, self.g = t, h_abs, g
-        self.rejected, self.nfev, self.ts, self.interpolants, self.result = False, 2, [t], [], None
+        self.rejected, self.nfev, self.ts, self.steps, self.result = False, 2, [t], [], None
         self.start_step()
 
     def start_step(self):
@@ -163,13 +156,15 @@ class _Row:
         self.h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
         self.rejected = True
         if self.h_abs < self.min_step:  # a NaN step is attempted again, as in scipy
-            self.finish(-1, "Required step size is less than spacing between numbers.", None, None)
+            self.finish(-1, "Required step size is less than spacing between numbers.", None)
         return False
 
-    def finish(self, status, message, t_event, y_event):
+    def finish(self, status, message, y_event):
+        """Stack the step records (empty arrays when no step was accepted)."""
         ts = np.array(self.ts)
-        self.result = OdeResult(ts, OdeSolution(ts, self.interpolants), t_event, y_event,
-                                self.nfev, status, message)
+        h, y_old, Q = (np.array([step[k] for step in self.steps]) for k in (1, 2, 3))
+        self.result = OdeResult(ts, OdeSolution(ts, h, y_old, Q), y_event, self.nfev, status,
+                                message)
 
 
 def solve_ivp(fun, t_span, y0, tol, event) -> OdeResult:
@@ -237,25 +232,25 @@ def solve_ivp_stack(fun, t_span, y0s, tol, event) -> list[OdeResult]:
             row = rows[i]
             t_old = row.t
             row.t = t_end = row.t_new
-            sol = RkDenseOutput(t_old, row.t - t_old, y_old[i], Q[i])
-            row.interpolants.append(sol)
+            step = (t_old, row.t - t_old, y_old[i], Q[i])
+            row.steps.append(step)
             status = 0 if t_end - t_bound >= 0 else None
-            t_event = y_event = None
+            y_event = None
             if event is not None:
                 if row.g >= 0 and g[j] <= 0:
-                    t_end = t_event = brentq(lambda s: event(s, sol(s)), t_old, row.t)
-                    y_event = sol(t_end)
+                    t_end = brentq(lambda s: event(s, dense_state(step, s)), t_old, row.t)
+                    y_event = dense_state(step, t_end)
                     status = 1
                 row.g = g[j]
             # a root at the step's start adds no step
             if len(row.ts) > 1 and row.ts[-1] == t_end:
-                row.interpolants.pop()
+                row.steps.pop()
             else:
                 row.ts.append(t_end)
             if status is None:
                 row.start_step()
             else:
-                row.finish(status, None, t_event, y_event)
+                row.finish(status, None, y_event)
         keep = [i for i, row in enumerate(rows) if row.result is None]
         if len(keep) < len(rows):
             rows, y, f = [rows[i] for i in keep], y[keep], f[keep]

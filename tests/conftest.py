@@ -54,7 +54,7 @@ def battery_pairs():
 @pytest.fixture(scope="session")
 def geodesic_sets(equiv_pairs):
     """20 seeded unit-speed geodesics per equivalent pair at integrator
-    tolerance 1e-10.  The energy self-check runs at 1e-7: the RK45 scheme
+    tolerance 1e-10, integrated as one lockstep stack per pair.  The energy self-check runs at 1e-7: the RK45 scheme
     legitimately accumulates ~1e-8 relative energy error near chart walls,
     and the conservation checks judge drift themselves."""
     opts = GeodesicOptions(tol=1e-10, energy_tol=1e-7)
@@ -62,7 +62,7 @@ def geodesic_sets(equiv_pairs):
     for name, pair in equiv_pairs.items():
         rng = np.random.default_rng(GEODESIC_SEED)
         xs, xis = sample_phase_points(pair, 20, rng)
-        out[name] = [integrate_geodesic(pair.g, x, xi, T_END, opts) for x, xi in zip(xs, xis)]
+        out[name] = integrate_geodesic(pair.g, xs, xis, T_END, opts)
     return out
 
 

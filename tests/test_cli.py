@@ -185,6 +185,28 @@ def test_malformed_config_is_a_config_error(capsys, monkeypatch, tmp_path, comma
     assert message in err
 
 
+def test_malformed_thread_cap_is_a_config_error(capsys, monkeypatch, tmp_path):
+    """A GEODEQUIV_THREADS that is no integer is refused with exit 2, naming
+    it, before out is made or any geodesic is integrated; an integer is
+    clamped to 1 .. jobs."""
+    from geodequiv import cli
+
+    def no_integration(*args):
+        pytest.fail("a geodesic was integrated before the config error")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", no_integration)
+    monkeypatch.setenv("GEODEQUIV_THREADS", "abc")
+    out_dir = tmp_path / "d"
+    code, _, err = run_cli(capsys, "geodesic", "--pair", "sphere", "--trajectories", "2",
+                           "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith("error") and "GEODEQUIV_THREADS" in err
+    assert not out_dir.exists()
+    for cap, workers in (("-3", 1), ("0", 1), ("3", 3), ("99", 5)):
+        monkeypatch.setenv("GEODEQUIV_THREADS", cap)
+        assert cli._max_workers(5) == workers
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "--out", ""],
     ["catalog", "--format", "csv", "--out", "missing/c.csv"],

@@ -159,9 +159,7 @@ def test_linear_integrals_conserved_and_commuting(battery_pairs):
     fns = lc.linear_integrals()
     rng = np.random.default_rng(7)
     xs, xis = sample_phase_points(lc.pair, 4, rng)
-    opts = GeodesicOptions(tol=1e-10)
-    for x, xi in zip(xs, xis):
-        traj = integrate_geodesic(lc.pair.g, x, xi, 5.0, opts)
+    for traj in integrate_geodesic(lc.pair.g, xs, xis, 5.0, GeodesicOptions(tol=1e-10)):
         for L in fns:
             assert conservation_drift(L.value_batch(traj.xs, traj.xis)) <= 1e-6
     jac = np.stack([L.grad_batch(xs, xis) for L in fns], axis=1)
@@ -235,9 +233,8 @@ def test_shift_large_approaches_first_metric(battery_pairs):
 def test_shifted_pairs_stay_equivalent(battery_pairs):
     lc = battery_pairs["m2n2"]
     rng = np.random.default_rng(23)
-    opts = GeodesicOptions(tol=1e-10)
-    trajs = [integrate_geodesic(lc.pair.g, x, xi, 5.0, opts)
-             for x, xi in zip(*sample_phase_points(lc.pair, 3, rng))]
+    xs, xis = sample_phase_points(lc.pair, 3, rng)
+    trajs = integrate_geodesic(lc.pair.g, xs, xis, 5.0, GeodesicOptions(tol=1e-10))
     for c in (0.5, 1.0, 2.0):
         pair_c = MetricPair(lc.pair.g, lc.gc_metric(c), pair_id=f"shift:{c}")
         for traj in trajs:
