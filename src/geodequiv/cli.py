@@ -19,6 +19,8 @@ variable GEODEQUIV_THREADS caps it.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -557,7 +559,10 @@ def cmd_catalog(out_format: str, out: str | None) -> int:
             "info": f"normal-form demo, blocks {list(spec.sizes)}, dim {spec.dim}",
         })
     if out_format == "csv":
-        text = "name,info\n" + "\n".join(f'{e["name"]},"{e["info"]}"' for e in entries) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [("name", "info")] + [(e["name"], e["info"]) for e in entries])
+        text = buf.getvalue()
     else:
         text = _report_json({"catalog": entries})
     _emit(text, out)

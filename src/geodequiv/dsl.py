@@ -9,7 +9,8 @@ to push exact first derivatives through evaluations in the package.
 Scalars flowing through `Expression.evaluate` may be plain floats, numpy
 arrays (vectorised evaluation over many points at once), or `Dual1`
 instances.  Dual payloads themselves may be vectorised: a `Dual1` can hold a
-value of shape (N,) and a gradient of shape (N, nvars).
+value of shape (N,) and a gradient of shape (nvars, N), all seeded by
+`dual1_seeds`.
 
 `compile_value_grad` turns a set of expressions into one generated Python
 function computing their values and gradients as straight-line code, the
@@ -59,20 +60,19 @@ class DomainError(DslError):
 # dual numbers
 
 
-def _vx(v, k: int):
-    # Append k broadcast axes to a value so it multiplies gradient payloads
-    # elementwise.  Plain scalars broadcast as-is.
-    if np.ndim(v) == 0:
-        return v
-    return np.reshape(v, np.shape(v) + (1,) * k)
-
-
 def _nonpos(v) -> bool:
     return bool(np.any(np.asarray(v) <= 0.0))
 
 
 class Dual1:
-    """Value and first-order gradient with respect to a fixed variable set."""
+    """Value and first-order gradient with respect to a fixed variable set.
+
+    `grad` has the derivative axis first, shape (nvars,) + np.shape(value),
+    so values and plain operands multiply it by numpy broadcasting.  That
+    holds while every Dual1 of one pass has the batch shape of its seeds
+    (`dual1_seeds`): a single-point Dual1 times a batched plain array would
+    mis-broadcast, silently when the batch size equals nvars.
+    """
 
     __slots__ = ("value", "grad")
     __array_ufunc__ = None  # keep numpy from absorbing us into object arrays
@@ -80,15 +80,6 @@ class Dual1:
     def __init__(self, value, grad):
         self.value = value
         self.grad = grad
-
-    @staticmethod
-    def seed(values: Sequence[float], index: int, nvars: int) -> "Dual1":
-        v = np.asarray(values, dtype=float)
-        g = np.zeros(v.shape + (nvars,))
-        g[..., index] = 1.0
-        if v.ndim == 0:
-            return Dual1(float(v), g)
-        return Dual1(v, g)
 
     def __add__(self, other):
         if isinstance(other, Dual1):
@@ -109,22 +100,21 @@ class Dual1:
         if isinstance(other, Dual1):
             return Dual1(
                 self.value * other.value,
-                _vx(self.value, 1) * other.grad + _vx(other.value, 1) * self.grad,
+                self.value * other.grad + other.value * self.grad,
             )
-        return Dual1(self.value * other, _vx(other, 1) * self.grad)
+        return Dual1(self.value * other, other * self.grad)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Dual1):
             qv = self.value / other.value
-            qg = (self.grad - _vx(qv, 1) * other.grad) / _vx(other.value, 1)
-            return Dual1(qv, qg)
-        return Dual1(self.value / other, self.grad / _vx(other, 1))
+            return Dual1(qv, (self.grad - qv * other.grad) / other.value)
+        return Dual1(self.value / other, self.grad / other)
 
     def __rtruediv__(self, other):
         rv = other / self.value
-        return Dual1(rv, -_vx(rv / self.value, 1) * self.grad)
+        return Dual1(rv, -(rv / self.value) * self.grad)
 
     def __neg__(self):
         return Dual1(-self.value, -self.grad)
@@ -133,7 +123,7 @@ class Dual1:
         return _pow_dual(self, e)
 
     def _chain(self, fv, d1):
-        return Dual1(fv, _vx(d1, 1) * self.grad)
+        return Dual1(fv, d1 * self.grad)
 
 
 def _pow_dual(z: Dual1, e) -> Dual1:
@@ -504,11 +494,15 @@ def eval_env(names: Sequence[str], cells: Sequence) -> dict:
     return dict(zip(names, cells))
 
 
-def dual1_seeds(x: Sequence[float]) -> list[Dual1]:
-    """One Dual1 per component of x, seeded at consecutive variable slots."""
+def dual1_seeds(x) -> list[Dual1]:
+    """One Dual1 per component of x (shape (..., k)), seeded at consecutive
+    variable slots.  The gradients are read-only views of one identity of
+    shape (k, k) + x.shape[:-1]; a 1-D x gives float values."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    return [Dual1.seed(x[..., i], i, n) for i in range(n)]
+    k, batch = x.shape[-1], x.shape[:-1]
+    eye = np.broadcast_to(np.eye(k).reshape((k, k) + (1,) * len(batch)), (k, k) + batch)
+    values = x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)
+    return [Dual1(v, e) for v, e in zip(values, eye)]
 
 
 def phase_jacobian(fn: Callable, xs, xis) -> np.ndarray:
@@ -519,14 +513,13 @@ def phase_jacobian(fn: Callable, xs, xis) -> np.ndarray:
     depend on (x, xi) gets a zero row.
     """
     xs = np.asarray(xs, dtype=float)
-    xis = np.asarray(xis, dtype=float)
     n = xs.shape[-1]
-    outs = fn([Dual1.seed(xs[..., i], i, 2 * n) for i in range(n)],
-              [Dual1.seed(xis[..., i], n + i, 2 * n) for i in range(n)])
+    cells = dual1_seeds(np.concatenate([xs, np.asarray(xis, dtype=float)], axis=-1))
+    outs = fn(cells[:n], cells[n:])
     jac = np.zeros(xs.shape[:-1] + (len(outs), 2 * n))
     for k, out in enumerate(outs):
         if isinstance(out, Dual1):
-            jac[..., k, :] = out.grad
+            jac[..., k, :] = np.moveaxis(out.grad, 0, -1)
     return jac
 
 

@@ -5,6 +5,8 @@ of geodesic.
 All invocations go through main(argv) in-process; stdout is captured per call.
 """
 
+import csv
+import io
 import json
 import re
 import runpy
@@ -512,6 +514,10 @@ def test_catalog_csv(capsys):
     code, out, _ = run_cli(capsys, "catalog", "--format", "csv")
     assert code == 0
     assert out.startswith("name,info")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 2 for row in rows)
+    _, js, _ = run_cli(capsys, "catalog")
+    assert [row[0] for row in rows[1:]] == [e["name"] for e in json.loads(js)["catalog"]]
 
 
 # ---------------------------------------------------------------------------

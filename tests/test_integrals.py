@@ -224,6 +224,18 @@ def test_batch_integrals_match_pointwise():
         assert np.allclose(batch[:, k], single, rtol=1e-13)
 
 
+@pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "lc-demo:m3n4"])
+def test_batch_jacobian_is_the_stack_of_single_points(name):
+    pair = resolve_pair(name)
+    n = pair.dim
+    xs, xis = sample_phase_points(pair, 12, np.random.default_rng(16))
+    single = np.stack([integrals_jacobian(pair, x, xi) for x, xi in zip(xs, xis)])
+    assert single.shape == (12, n, 2 * n)
+    assert integrals_jacobian(pair, xs, xis).tobytes() == single.tobytes()
+    grid = integrals_jacobian(pair, xs.reshape(3, 4, n), xis.reshape(3, 4, n))
+    assert grid.tobytes() == single.reshape(3, 4, n, 2 * n).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # eigen profile
 

@@ -64,7 +64,8 @@ def tree_walk(metric, xs):
             c = cells[i, j]
             if isinstance(c, Dual1):
                 vals[:, i, j] = np.broadcast_to(np.asarray(c.value), (N,))
-                grads[:, i, j, :] = np.broadcast_to(np.asarray(c.grad), (N, n))
+                grad = np.moveaxis(np.asarray(c.grad), 0, -1)
+                grads[:, i, j, :] = np.broadcast_to(grad, (N, n))
             else:
                 vals[:, i, j] = np.broadcast_to(np.asarray(c, dtype=float), (N,))
     if squeeze:
@@ -163,13 +164,16 @@ def test_variable_free_entries_have_zero_gradients():
 
 
 def reference_jacobian(fn, xs, xis):
-    """The dual pass written out: 2n seeded Dual1 cells, then each output's
-    gradient broadcast over the batch axes, a zero row for a plain value."""
+    """The dual pass written out: 2n Dual1 cells seeded from an identity with
+    one trailing axis per batch axis, then each output's gradient moved to the
+    last axis and broadcast over the batch, a zero row for a plain value."""
     xs, xis = np.asarray(xs, dtype=float), np.asarray(xis, dtype=float)
-    n = xs.shape[-1]
-    x_cells = [Dual1.seed(xs[..., i], i, 2 * n) for i in range(n)]
-    xi_cells = [Dual1.seed(xis[..., i], n + i, 2 * n) for i in range(n)]
-    rows = [np.broadcast_to(out.grad if isinstance(out, Dual1) else 0.0, xs.shape[:-1] + (2 * n,))
+    n, batch = xs.shape[-1], xs.shape[:-1]
+    seed = np.eye(2 * n).reshape((2 * n, 2 * n) + (1,) * len(batch)) * np.ones(batch)
+    x_cells = [Dual1(xs[..., i], seed[i]) for i in range(n)]
+    xi_cells = [Dual1(xis[..., i], seed[n + i]) for i in range(n)]
+    rows = [np.broadcast_to(np.moveaxis(out.grad, 0, -1) if isinstance(out, Dual1) else 0.0,
+                            batch + (2 * n,))
             for out in fn(x_cells, xi_cells)]
     return np.stack(rows, axis=-2)
 
