@@ -10,12 +10,11 @@ geodequiv command does.  Typical use:
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
-from geodequiv.cli import INPUT_ERRORS, RunConfig, cmd_factory, cmd_verify
+from geodequiv.cli import INPUT_ERRORS, RunConfig, _report_json, cmd_factory, cmd_verify
 
 DEFAULT_PAIRS = (
     "ellipsoid:1,2,3",
@@ -66,7 +65,7 @@ def run_battery(args) -> int:
             if out_dir:
                 stem = name.replace(":", "_").replace(",", "-").replace("/", "_")
                 path = out_dir / f"{label}_{stem}.json"
-                path.write_text(json.dumps(report, indent=2))
+                path.write_text(_report_json(report))
     print(f"done in {time.perf_counter() - t0:.1f}s, {failures} failing report(s)")
     return 1 if failures else 0
 

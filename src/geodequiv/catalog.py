@@ -58,6 +58,8 @@ class EllipsoidSpec:
         a = self.semi_axes
         if len(a) < 2:
             raise ValueError("need at least two semi-axis parameters")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"semi-axis parameters must be finite, got {list(a)}")
         if a[0] <= 0 or any(hi <= lo for lo, hi in zip(a, a[1:])):
             raise ValueError("semi-axis parameters must be positive and strictly increasing")
 
@@ -276,6 +278,8 @@ def falsification_pair(kind: str, amplitude: float | None = None) -> MetricPair:
     """
     if amplitude is None:
         amplitude = 1.0 if kind == "random-conformal" else 0.1
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     if kind == "perturbed-lc":
         base = build_pair(battery()["m2n2"], pair_id="base")
         chart = base.chart

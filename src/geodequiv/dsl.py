@@ -13,9 +13,10 @@ value of shape (N,) and a gradient of shape (nvars, N), all seeded by
 `dual1_seeds`.
 
 `compile_value_grad` turns a set of expressions into one generated Python
-function computing their values and gradients as straight-line code, the
-same operations as the `Dual1` walk without its per-call tree traversal;
-`MetricField.values_and_grads` runs on it.
+function computing their values and gradients as straight-line code.  It
+records the `Dual1` walk itself on symbolic cells, so each derivative rule
+lives in `Dual1` only and the code runs the walk's operations without its
+per-call tree traversal; `MetricField.values_and_grads` runs on it.
 """
 
 from __future__ import annotations
@@ -138,36 +139,43 @@ def _pow_dual(z: Dual1, e) -> Dual1:
             return z * 0.0 + 1.0
         vkm1 = np.power(v, k - 1)
         return z._chain(vkm1 * v, k * vkm1)
-    if _nonpos(v):
-        raise DomainError("^", v)
+    _refuse_nonpos("^", v)
     return z._chain(np.power(v, e), e * np.power(v, e - 1.0))
 
 
 def _pow_plain(v, e: float):
     if e == int(e):
         return np.power(v, int(e))
-    if _nonpos(v):
-        raise DomainError("^", v)
+    _refuse_nonpos("^", v)
     return np.power(v, e)
 
 
-# unary functions: plain callable, derivative, domain guard
+def _refuse_nonpos(function: str, v) -> None:
+    """Raise DomainError where v <= 0.  On a recorded `_Name` the test is
+    written into the generated code instead, once per distinct line."""
+    if isinstance(v, _Name):
+        v.tape.write(None, f"if _nonpos({{0}}): raise DomainError({function!r}, {{0}})", (v.text,))
+    elif _nonpos(v):
+        raise DomainError(function, v)
+
+
+# unary functions: plain callable, derivative, whether the argument must be > 0
 _FUNCTIONS: dict[str, tuple] = {
-    "sin": (np.sin, np.cos, None),
-    "cos": (np.cos, lambda v: -np.sin(v), None),
-    "exp": (np.exp, np.exp, None),
-    "log": (np.log, lambda v: 1.0 / v, _nonpos),
-    "sqrt": (np.sqrt, lambda v: 0.5 / np.sqrt(v), _nonpos),
-    "abs": (np.abs, np.sign, None),
+    "sin": (np.sin, np.cos, False),
+    "cos": (np.cos, lambda v: -np.sin(v), False),
+    "exp": (np.exp, np.exp, False),
+    "log": (np.log, lambda v: 1.0 / v, True),
+    "sqrt": (np.sqrt, lambda v: 0.5 / np.sqrt(v), True),
+    "abs": (np.abs, np.sign, False),
 }
 
 
 def apply_function(name: str, z):
     """Apply a builtin unary function to a scalar-like argument."""
-    f, d1, guard = _FUNCTIONS[name]
+    f, d1, guarded = _FUNCTIONS[name]
     v = z.value if isinstance(z, Dual1) else z
-    if guard is not None and guard(v):
-        raise DomainError(name, v)
+    if guarded:
+        _refuse_nonpos(name, v)
     if isinstance(z, Dual1):
         return z._chain(f(v), d1(v))
     return f(v)
@@ -532,129 +540,110 @@ def compile_value_grad(exprs: Sequence[Expression], names: Sequence[str]) -> Cal
 
     The result f(*cells) returns a flat tuple holding, for each expression in
     turn, its value and then its n partial derivatives.  Cells may be float64
-    scalars or equally shaped arrays.  Structurally equal subtrees are
-    computed once across all expressions.  Each line of the generated code is
-    the operation `Dual1` performs, on the same operands in the same order,
-    with the same numpy functions and domain guards, so the outputs are
-    bitwise those of the tree walk over `dual1_seeds`.
+    scalars or equally shaped arrays.  The code is a recording of the `Dual1`
+    tree walk itself: the walk runs once over seeds whose value and gradient
+    slots are `_Name`s, every operation on a name writes one line, and
+    variable-free subtrees fold to the constants the walk computes.  So each
+    derivative rule lives in `Dual1` alone, and the outputs are bitwise those
+    of the walk over `dual1_seeds`, domain errors included.  A repeated line
+    keeps its first name, so shared subtrees are computed once across all
+    expressions.
     """
-    tape = _Tape(names)
+    tape = _Tape()
+    n = len(names)
+    zero, one = _Name("zero", tape), _Name("one", tape)
+    eye = np.array([[one if j == i else zero for j in range(n)] for i in range(n)], dtype=object)
+    env = eval_env(names, [Dual1(_Name(f"x{i}", tape), eye[i]) for i in range(n)])
     out = []
-    for e in exprs:
-        v, grad = tape.emit(e)
-        out += [v, *(grad or ("zero",) * len(names))]
-    args = ", ".join(f"x{i}" for i in range(len(names)))
-    body = "".join(f"    {line}\n" for line in tape.lines)
-    src = f"def value_grad({args}):\n{body}    return ({', '.join(out)},)\n"
-    scope = dict(tape.consts, power=np.power, _nonpos=_nonpos, DomainError=DomainError,
-                 zero=np.float64(0.0), one=np.float64(1.0))
-    for name, (f, d1, guard) in _FUNCTIONS.items():
-        scope.update({f"f_{name}": f, f"d_{name}": d1, f"guard_{name}": guard})
-    exec(compile(src, "<value_grad>", "exec"), scope)
-    return scope["value_grad"]
+    try:
+        for e in exprs:
+            v = e.evaluate(env)
+            out += [v.value, *v.grad] if isinstance(v, Dual1) else [v] + [zero] * n
+    except (DomainError, ZeroDivisionError) as exc:
+        # a variable-free subtree fails on every input, so the code raises
+        # there, after the domain tests recorded before it, as the walk does
+        tape.scope["failure"] = exc
+        tape.write(None, "raise failure.with_traceback(None)", ())
+    values = tuple(tape.operand(v) for v in out)
+    tape.write(None, "return (" + "{}, " * len(values) + ")", values)
+    args = ", ".join(f"x{i}" for i in range(n))
+    body = "".join(f"    {line}\n" for line in _reuse_temps(tape.lines))
+    exec(compile(f"def value_grad({args}):\n{body}", "<value_grad>", "exec"), tape.scope)
+    return tape.scope["value_grad"]
+
+
+def _reuse_temps(lines) -> list[str]:
+    """The code of recorded lines (target, format, operands), with the
+    temporaries renamed so that each takes over the variable of one no later
+    line reads.  On array cells the dead value is then freed at once and its
+    memory reused, rather than every temporary living to the return."""
+    last = {o: k for k, (_, _, ops) in enumerate(lines) for o in ops}
+    free, slot, code = [], {}, []
+    for k, (target, fmt, ops) in enumerate(lines):
+        free += [slot[o] for o in dict.fromkeys(ops) if o in slot and last[o] == k]
+        text = fmt.format(*(slot.get(o, o) for o in ops))
+        if target:
+            slot[target] = free.pop() if free else target
+            text = f"{slot[target]} = {text}"
+        code.append(text)
+    return code
+
+
+# the code of the ufuncs written as operators; every other one is a call
+_OPERATORS = {np.add: "{} + {}", np.subtract: "{} - {}", np.multiply: "{} * {}",
+              np.true_divide: "{} / {}", np.negative: "-{}"}
 
 
 class _Tape:
-    """Code emitter for `compile_value_grad`.
+    """The lines and namespace of one function `compile_value_grad` generates."""
 
-    A node compiles to (value, grad): the name holding its value and a tuple
-    of n names holding its partials, or None when the node is variable-free
-    (the plain value `Dual1` arithmetic meets).  Nodes are shared by the names
-    of their operands, so equal subtrees are emitted once; Lit constants are
-    keyed by repr, which keeps 0.0 and -0.0 apart.
-    """
+    def __init__(self):
+        self.lines: dict[tuple, None] = {}  # in order, each distinct line once
+        self.names: dict[tuple, _Name] = {}  # (format, operands) -> its name
+        self.consts: dict[tuple, str] = {}
+        self.scope = {"_nonpos": _nonpos, "DomainError": DomainError,
+                      "zero": np.float64(0.0), "one": np.float64(1.0)}
 
-    def __init__(self, names: Sequence[str]):
-        n = len(names)
-        self.lines: list[str] = []
-        self.consts: dict[str, object] = {}
-        self.memo: dict[tuple, tuple] = {
-            ("var", name): (f"x{i}", tuple("one" if j == i else "zero" for j in range(n)))
-            for i, name in enumerate(names)
-        }
+    def write(self, target: str | None, fmt: str, operands: tuple) -> None:
+        self.lines.setdefault((target, fmt, operands))
 
-    def tmp(self, src: str) -> str:
-        name = f"t{len(self.lines)}"
-        self.lines.append(f"{name} = {src}")
-        return name
+    def operand(self, v) -> str:
+        """v's name in the code.  Constants are keyed by type and repr, which
+        keeps 0.0 and -0.0 apart."""
+        if isinstance(v, _Name):
+            return v.text
+        key = (type(v), repr(v))
+        if key not in self.consts:
+            self.consts[key] = f"c{len(self.consts)}"
+            self.scope[self.consts[key]] = v
+        return self.consts[key]
 
-    def each(self, fmt: str, *grads) -> tuple[str, ...]:
-        return tuple(self.tmp(fmt.format(*parts)) for parts in zip(*grads))
+    def record(self, ufunc, args) -> _Name:
+        ops = tuple(map(self.operand, args))
+        fmt = _OPERATORS.get(ufunc)
+        if fmt is None:
+            self.scope[ufunc.__name__] = ufunc
+            fmt = ufunc.__name__ + "(" + ", ".join(["{}"] * len(ops)) + ")"
+        if (fmt, ops) not in self.names:
+            self.names[fmt, ops] = _Name(f"t{len(self.names)}", self)
+            self.write(self.names[fmt, ops].text, fmt, ops)
+        return self.names[fmt, ops]
 
-    def emit(self, e: Expression) -> tuple:
-        if isinstance(e, Var):
-            return self.memo[("var", e.name)]
-        if isinstance(e, Lit):
-            key = ("lit", type(e.value), repr(e.value))
-            if key not in self.memo:
-                name = f"c{len(self.consts)}"
-                self.consts[name] = e.value
-                self.memo[key] = (name, None)
-            return self.memo[key]
-        if isinstance(e, (Neg, Pow, Call)):
-            kids = (self.emit(e.base if isinstance(e, Pow) else e.arg),)
-        else:
-            kids = (self.emit(e.l), self.emit(e.r))
-        extra = e.exponent_value if isinstance(e, Pow) else getattr(e, "func", None)
-        key = (type(e), repr(extra), *(v for v, _ in kids))
-        if key not in self.memo:
-            self.memo[key] = self.op(e, *kids)
-        return self.memo[key]
 
-    def op(self, e: Expression, l: tuple, r: tuple | None = None) -> tuple:
-        (a, A), (b, B) = l, r or (None, None)
-        if isinstance(e, Neg):
-            return self.tmp(f"-{a}"), None if A is None else self.each("-{}", A)
-        if isinstance(e, Pow):
-            return self.power(a, A, float(e.exponent_value))
-        if isinstance(e, Call):
-            return self.call(e.func, a, A)
-        if A is None and B is None:
-            return self.tmp(f"{a} {e.sym} {b}"), None
-        if isinstance(e, (Add, Sub)):
-            if B is None:
-                return self.tmp(f"{a} {e.sym} {b}"), A
-            if A is None:  # Dual1.__radd__ / __rsub__
-                if isinstance(e, Add):
-                    return self.tmp(f"{b} + {a}"), B
-                return self.tmp(f"{a} - {b}"), self.each("-{}", B)
-            return self.tmp(f"{a} {e.sym} {b}"), self.each(f"{{}} {e.sym} {{}}", A, B)
-        if isinstance(e, Mul):
-            if B is None:
-                return self.tmp(f"{a} * {b}"), self.each(f"{b} * {{}}", A)
-            if A is None:  # Dual1.__rmul__
-                return self.tmp(f"{b} * {a}"), self.each(f"{a} * {{}}", B)
-            return self.tmp(f"{a} * {b}"), self.each(f"{a} * {{}} + {b} * {{}}", B, A)
-        q = self.tmp(f"{a} / {b}")
-        if B is None:
-            return q, self.each(f"{{}} / {b}", A)
-        if A is None:  # Dual1.__rtruediv__
-            w = self.tmp(f"-({q} / {b})")
-            return q, self.each(f"{w} * {{}}", B)
-        return q, self.each(f"({{}} - {q} * {{}}) / {b}", A, B)
+class _Name(np.lib.mixins.NDArrayOperatorsMixin):
+    """One value of a generated function.  An arithmetic operation or numpy
+    function applied to it records one line and returns the result's name; on
+    an object array of names, a `Dual1` gradient, it runs slot by slot."""
 
-    def power(self, a: str, A, e: float) -> tuple:
-        if e == int(e):
-            k = int(e)
-            if A is None:
-                return self.tmp(f"power({a}, {k})"), None
-            if k == 0:
-                return self.tmp(f"{a} * 0.0 + 1.0"), self.each("0.0 * {}", A)
-            p = self.tmp(f"power({a}, {k - 1})")
-            d = self.tmp(f"{k} * {p}")
-            return self.tmp(f"{p} * {a}"), self.each(f"{d} * {{}}", A)
-        self.lines.append(f"if _nonpos({a}): raise DomainError('^', {a})")
-        v = self.tmp(f"power({a}, {e!r})")
-        if A is None:
-            return v, None
-        d = self.tmp(f"{e!r} * power({a}, {e - 1.0!r})")
-        return v, self.each(f"{d} * {{}}", A)
+    __slots__ = ("text", "tape")
 
-    def call(self, func: str, a: str, A) -> tuple:
-        if _FUNCTIONS[func][2] is not None:
-            self.lines.append(f"if guard_{func}({a}): raise DomainError({func!r}, {a})")
-        v = self.tmp(f"f_{func}({a})")
-        if A is None:
-            return v, None
-        d = self.tmp(f"d_{func}({a})")
-        return v, self.each(f"{d} * {{}}", A)
+    def __init__(self, text: str, tape: _Tape):
+        self.text = text
+        self.tape = tape
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        slots = [len(a) for a in args if isinstance(a, np.ndarray)]
+        if slots:
+            return np.array([ufunc(*(a[k] if isinstance(a, np.ndarray) else a for a in args))
+                             for k in range(slots[0])], dtype=object)
+        return self.tape.record(ufunc, args)

@@ -18,6 +18,7 @@ import pytest
 from geodequiv.cli import (
     ConfigError,
     RunConfig,
+    _report_json,
     cmd_factory,
     cmd_verify,
     main,
@@ -91,6 +92,23 @@ def test_unknown_pair_is_config_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--pair", "torus")
     assert code == 2
     assert "torus" in err
+
+
+@pytest.mark.parametrize("name", ["ellipsoid:1,nan,3", "ellipsoid:1,2,inf",
+                                  "falsify:random-conformal:nan", "falsify:perturbed-lc:inf"])
+def test_non_finite_number_in_a_pair_name_is_a_config_error(capsys, monkeypatch, name):
+    """Refused while the name resolves, before any geodesic is integrated."""
+    from geodequiv import cli
+
+    def no_integration(*args):
+        pytest.fail("a geodesic was integrated before the config error")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", no_integration)
+    code, out, err = run_cli(capsys, "verify", "--pair", name, "--trajectories", "2",
+                             "--points", "5")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot resolve pair '{name}': ")
+    assert "finite" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -248,6 +266,18 @@ def test_verify_all_script_exits_2_on_a_config_error(capsys, argv):
 
 # ---------------------------------------------------------------------------
 # determinism
+
+
+def test_verify_all_writes_the_report_bytes_of_verify(tmp_path, capsys):
+    """scripts/verify_all.py --out-dir writes a report as `verify --out` does:
+    sorted keys, strict JSON and a final newline."""
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "verify_all.py"))
+    argv = ["--pairs", "sphere", "--seed", "0", "--trajectories", "2", "--points", "5"]
+    assert script["main"](argv + ["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report, _ = cmd_verify(RunConfig(pair="sphere", seed=0, trajectories=2, points=5))
+    written = (tmp_path / "verify_sphere.json").read_text()
+    assert strip_timestamp(written) == strip_timestamp(_report_json(report))
 
 
 def test_reports_are_deterministic_up_to_timestamp(capsys):

@@ -2,8 +2,9 @@
 dual pass against an inline one.
 
 `MetricField.values_and_grads` runs code generated by
-`dsl.compile_value_grad`.  The tree walk with `Dual1` seeds, which
-`dsl.phase_jacobian` and the catalog module still use, is the reference: the
+`dsl.compile_value_grad`, which records the `Dual1` walk once on symbolic
+cells.  The tree walk with `Dual1` seeds, which `dsl.phase_jacobian` and the
+catalog module still use, stays the reference for that code's execution: the
 two must agree bit for bit, at single points and on batches, and raise the
 same domain errors.  `dsl.phase_jacobian` feeds `integrals_jacobian`,
 `PhaseFunction.grad_batch` and the factory forms; each must be bitwise the
@@ -143,10 +144,23 @@ def test_domain_errors_match(src, bad):
     metric = MetricField(chart, [[chart.parse(src), Lit(0.0)], [Lit(1.0)]])
     assert outcome(metric.values_and_grads, [1.0, 1.0]) == outcome(tree_walk, metric, [1.0, 1.0])
     for xs in ([bad, 1.0], [[1.0, 1.0], [bad, 1.0]]):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as compiled:
             metric.values_and_grads(xs)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as walked:
             tree_walk(metric, xs)
+        got, want = compiled.value, walked.value
+        assert got.function == want.function
+        assert np.asarray(got.argument).tobytes() == np.asarray(want.argument).tobytes()
+
+
+def test_a_failing_constant_raises_where_the_walk_does():
+    """A variable-free subtree that fails, here 1/0, fails on every input,
+    but only after the domain tests that come before it in the walk."""
+    chart = Chart(NAMES)
+    metric = MetricField(chart, [[chart.parse("log(x1) + 1/0"), Lit(0.0)], [Lit(1.0)]])
+    for xs in ([-1.0, 1.0], [1.0, 1.0]):
+        assert outcome(metric.values_and_grads, xs) == outcome(tree_walk, metric, xs)
+    assert outcome(tree_walk, metric, [-1.0, 1.0]) is DomainError
 
 
 def test_variable_free_entries_have_zero_gradients():
