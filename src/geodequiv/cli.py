@@ -12,8 +12,9 @@ Exit codes are a stable contract: 0 all checks passed, 1 a numerical
 check failed, 2 usage or configuration error.  Reports are deterministic
 for a fixed config and seed up to the "timestamp" field: per-point results
 are aggregated in point_id order, and the JSON is emitted with sorted keys.
-`geodesic` runs its per-direction jobs on a worker pool; the environment
-variable GEODEQUIV_THREADS caps it.
+`geodesic` integrates and compares every direction in stacked calls, then
+builds each direction's report row and exports its curves on a worker pool;
+the environment variable GEODEQUIV_THREADS caps it.
 """
 
 from __future__ import annotations
@@ -470,10 +471,10 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
     tgs = integrate_geodesic(pair.g, xs, xis, cfg.t_end, opts)
     vbs = xis / pair.gbar.norm(xs, xis)[:, None]
     tbs = integrate_geodesic(pair.gbar, xs, vbs, cfg.t_end, opts)
+    dists = geodesic_coincidence(pair.g, pair.gbar, xs, xis, length=cfg.t_end)
 
     def one_direction(job):
-        pid, (x, xi, tg, tb) = job
-        dist = geodesic_coincidence(pair.g, pair.gbar, x, xi, length=cfg.t_end)
+        pid, (dist, tg, tb) = job
         row = {
             "point_id": pid,
             "curve_distance": float(dist),
@@ -492,7 +493,7 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
                     (out_dir / f"{name}.json").write_text(trajectory_to_json(traj))
         return row
 
-    rows = _pmap(one_direction, list(enumerate(zip(xs, xis, tgs, tbs))))
+    rows = _pmap(one_direction, list(enumerate(zip(dists, tgs, tbs))))
     report = {
         "command": "geodesic",
         "pair": pair.pair_id,

@@ -316,13 +316,13 @@ def integrate_geodesic(
     metric: MetricField,
     x,
     xi,
-    t_end: float,
+    t_end: float | np.ndarray,
     opts: GeodesicOptions | None = None,
 ) -> Trajectory | list[Trajectory]:
     """Integrate the geodesic flow from the phase point (x, xi) with an
     embedded RK 5(4) scheme, giving a Trajectory.  x and xi may also be
-    (K, n) stacks of starts, integrated in lockstep, giving a list of K
-    Trajectory equal to those of K single calls.
+    (K, n) stacks of starts, integrated in lockstep up to a float or (K,)
+    t_end, giving a list of K Trajectory equal to those of K single calls.
 
     Leaving the chart domain is a soft stop: the trajectory is truncated at
     the crossing and flagged.  A relative energy drift above opts.energy_tol
@@ -333,7 +333,7 @@ def integrate_geodesic(
     xi = np.asarray(xi, dtype=float)
     check_phase_points(x, xi)
     opts = opts or GeodesicOptions()
-    if t_end <= 0:
+    if np.any(np.asarray(t_end) <= 0):
         raise ValueError("t_end must be positive")
     chart = metric.chart
     n = metric.dim
@@ -469,11 +469,12 @@ def symmetric_curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     return max(curve_distance(c1, c2), curve_distance(c2, c1))
 
 
-def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float = 5.0) -> float:
+def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float = 5.0):
     """Symmetrized distance between the g- and gbar-geodesics launched from
     the phase point (x, xi), compared as unparameterized curves over the
     initial piece of g-arc-length `length` (shorter when either trajectory
-    leaves the chart first).
+    leaves the chart first).  (K, n) stacks x and xi give the (K,) distances
+    of K single calls; a single point gives a float.
 
     Near zero exactly when the two metrics share their geodesics through
     (x, xi).  The curves are compared at 2048 points each, which resolves
@@ -481,30 +482,35 @@ def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float
     where the coordinate curvature of the curves grows; the integrator
     tolerance is relaxed accordingly, since curve positions only need to be
     accurate well below the comparison's discretization floor.
+
+    Each metric's curves of all directions are one lockstep integration.
+    Unit gbar-speed does not cover g-arc-length at unit rate, so each of at
+    most 8 retry passes integrates the gbar curves still inside the chart
+    and short of `length` again in one call, each over its own grown span.
+    A stack raises the first error of its g curves, then of its gbar curves,
+    then of each pass, so it may name a later direction than a loop would.
     """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
     check_phase_points(x, xi)
+    xs, xis = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, xi))
     opts = GeodesicOptions(tol=1e-8, samples=3001, energy_tol=1e-5)
-    v = xi / g.norm(x, xi)
-    tg = integrate_geodesic(g, x, v, float(length), opts)
-    vb = xi / gbar.norm(x, xi)
-    # unit gbar-speed does not cover g-arc-length at unit rate; extend the
-    # integration window until the g-length target is reached or the chart ends
-    t_end = float(length)
-    tb = integrate_geodesic(gbar, x, vb, t_end, opts)
+    tgs = integrate_geodesic(g, xs, xis / g.norm(xs, xis)[:, None], length, opts)
+    vbs = xis / gbar.norm(xs, xis)[:, None]
+    t_end = np.full(len(xs), float(length))
+    tbs = integrate_geodesic(gbar, xs, vbs, t_end, opts)
+    covered = np.array([arc_length(tb, g) for tb in tbs])
     for _ in range(8):
-        covered = arc_length(tb, g)
-        if tb.left_domain or covered >= length:
+        short = [k for k, tb in enumerate(tbs) if not tb.left_domain and covered[k] < length]
+        if not short:
             break
-        t_end *= max(1.5, 1.2 * float(length) / max(covered, 1e-12))
-        tb = integrate_geodesic(gbar, x, vb, t_end, opts)
-    else:
-        covered = arc_length(tb, g)
-    window = min(float(length), arc_length(tg, g), covered)
-    c1 = arclength_reparam(tg, g, 2048, length=window)
-    c2 = arclength_reparam(tb, g, 2048, length=window)
-    return symmetric_curve_distance(c1, c2)
+        t_end[short] *= np.maximum(1.5, 1.2 * length / np.maximum(covered[short], 1e-12))
+        retried = integrate_geodesic(gbar, xs[short], vbs[short], t_end[short], opts)
+        for k, tb in zip(short, retried):
+            tbs[k], covered[k] = tb, arc_length(tb, g)
+    windows = [min(length, arc_length(tg, g), c) for tg, c in zip(tgs, covered)]
+    dists = np.array([symmetric_curve_distance(arclength_reparam(tg, g, 2048, length=w),
+                                               arclength_reparam(tb, g, 2048, length=w))
+                      for tg, tb, w in zip(tgs, tbs, windows)])
+    return float(dists[0]) if np.ndim(x) == 1 else dists
 
 
 # ---------------------------------------------------------------------------

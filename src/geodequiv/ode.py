@@ -115,16 +115,16 @@ def _at_rows(fn, t, y):
 
 
 class _Row:
-    """One start in solve_ivp_stack: its time, step size and the step's
-    least size, whether the step was rejected, the event value, the count of
-    evaluations, the step ends, one (t_old, h, y_old, Q) record per accepted
-    step, and the result once it finishes."""
+    """One start in solve_ivp_stack: its time, span end, step size and the
+    step's least size, whether the step was rejected, the event value, the
+    count of evaluations, the step ends, one (t_old, h, y_old, Q) record per
+    accepted step, and the result once it finishes."""
 
-    __slots__ = ("t", "t_new", "h_abs", "min_step", "rejected", "g", "nfev", "ts", "steps",
-                 "result")
+    __slots__ = ("t", "t_bound", "t_new", "h_abs", "min_step", "rejected", "g", "nfev", "ts",
+                 "steps", "result")
 
-    def __init__(self, t, h_abs, g):
-        self.t, self.h_abs, self.g = t, h_abs, g
+    def __init__(self, t, t_bound, h_abs, g):
+        self.t, self.t_bound, self.h_abs, self.g = t, t_bound, h_abs, g
         self.rejected, self.nfev, self.ts, self.steps, self.result = False, 2, [t], [], None
         self.start_step()
 
@@ -132,11 +132,11 @@ class _Row:
         self.min_step = 10 * abs(math.nextafter(self.t, math.inf) - self.t)
         self.h_abs = max(self.h_abs, self.min_step)
 
-    def propose(self, t_bound):
+    def propose(self):
         """The time and the step of the next attempt, which ends at t_new,
-        clipped to t_bound."""
+        clipped to the row's t_bound."""
         t_new = self.t + self.h_abs
-        self.t_new = t_bound if t_new - t_bound > 0 else t_new
+        self.t_new = self.t_bound if t_new - self.t_bound > 0 else t_new
         h = self.t_new - self.t
         self.h_abs = abs(h)
         return self.t, h
@@ -179,34 +179,35 @@ def solve_ivp(fun, t_span, y0, tol, event) -> OdeResult:
 def solve_ivp_stack(fun, t_span, y0s, tol, event) -> list[OdeResult]:
     """solve_ivp from every row of y0s (K, m), in lockstep: each pass makes
     one step attempt on every unfinished row, with one call of fun per stage
-    on all of them.  Every row keeps its own time, step, rejections, event
-    value and dense output, and leaves the stack when it finishes, so row
-    k's result equals solve_ivp from y0s[k] bit for bit.  fun(t, y) and
-    event(t, y) take a time and a state (m,), or times (k,) and states
-    (k, m) for k > 1."""
-    t0, t_bound = map(float, t_span)
+    on all of them.  t_span is (t0, t_bound) with t_bound a float or one
+    span end per row (K,).  Every row keeps its own span end, time, step,
+    rejections, event value and dense output, and leaves the stack when it
+    finishes, so row k's result equals solve_ivp from y0s[k] over its own
+    span bit for bit.  fun(t, y) and event(t, y) take a time and a state
+    (m,), or times (k,) and states (k, m) for k > 1."""
     atol = rtol = tol
     if rtol < 100 * EPS:
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.", stacklevel=2)
         rtol = 100 * EPS
     y = np.asarray(y0s, dtype=float)
+    t0, t_bounds = float(t_span[0]), np.full(len(y), t_span[1], dtype=float).tolist()
     t = np.full(len(y), t0)
     f = _at_rows(fun, t, y)
     # the first step, from one more evaluation of fun
-    interval_length = abs(t_bound - t0)
+    lengths = [abs(t_bound - t0) for t_bound in t_bounds]
     scale = atol + np.abs(y) * rtol
     d0, d1 = rms_norms(y / scale).tolist(), rms_norms(f / scale).tolist()
-    h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval_length)
-                   for a, b in zip(d0, d1)])
+    h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, length)
+                   for a, b, length in zip(d0, d1, lengths)])
     d2 = (rms_norms((_at_rows(fun, t + h0, y + h0[:, None] * f) - f) / scale) / h0).tolist()
     h1 = [max(1e-6, h * 1e-3) if b <= 1e-15 and c <= 1e-15 else (0.01 / max(b, c)) ** (1 / 5)
           for h, b, c in zip(h0.tolist(), d1, d2)]
     g = [None] * len(y) if event is None else _at_rows(event, t, y).tolist()
-    everyone = rows = [_Row(t0, min(100 * a, b, interval_length), c)
-                       for a, b, c in zip(h0.tolist(), h1, g)]
+    everyone = rows = [_Row(t0, t_bound, min(100 * a, b, length), c)
+                       for t_bound, a, b, length, c in zip(t_bounds, h0.tolist(), h1, lengths, g)]
     while rows:
-        t, h = np.array([row.propose(t_bound) for row in rows]).T
+        t, h = np.array([row.propose() for row in rows]).T
         hc = h[:, None]
         stage_t = t[:, None] + hc * C
         K = np.empty((len(rows), 7, y.shape[1]))
@@ -234,7 +235,7 @@ def solve_ivp_stack(fun, t_span, y0s, tol, event) -> list[OdeResult]:
             row.t = t_end = row.t_new
             step = (t_old, row.t - t_old, y_old[i], Q[i])
             row.steps.append(step)
-            status = 0 if t_end - t_bound >= 0 else None
+            status = 0 if t_end - row.t_bound >= 0 else None
             y_event = None
             if event is not None:
                 if row.g >= 0 and g[j] <= 0:

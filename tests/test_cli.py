@@ -576,8 +576,9 @@ def test_cmd_factory_report_shape():
 def test_commands_integrate_all_their_starts_in_one_call_per_metric(capsys, monkeypatch,
                                                                      command, stacks):
     """verify and factory integrate every start of g in one stacked call,
-    geodesic those of g and of gbar in one each; only the coincidence search
-    integrates single starts."""
+    geodesic those of g and of gbar in one each, then the coincidence search
+    does the same plus one stacked call per retry pass, over the rows still
+    short of its length; nothing integrates single starts."""
     from geodequiv import cli, geometry
 
     calls = []
@@ -591,9 +592,14 @@ def test_commands_integrate_all_their_starts_in_one_call_per_metric(capsys, monk
     code, _, _ = run_cli(capsys, command, "--pair", "lc-demo:m2n2", "--trajectories", "3",
                          "--points", "5")
     assert code == 0
-    assert [c for c in calls if len(c) == 2] == [(3, 2)] * stacks
-    singles = sum(len(c) == 1 for c in calls)
-    assert singles >= 6 if command == "geodesic" else singles == 0
+    assert sum(len(c) == 1 for c in calls) == 0
+    assert calls[:stacks] == [(3, 2)] * stacks
+    if command == "geodesic":
+        assert calls[stacks:stacks + 2] == [(3, 2)] * 2
+        retries = [rows for rows, _ in calls[stacks + 2:]]
+        assert retries == sorted(retries, reverse=True) and all(0 < k <= 3 for k in retries)
+    else:
+        assert len(calls) == stacks
 
 
 def test_verify_runs_the_integral_pipeline_once_per_stage(monkeypatch):

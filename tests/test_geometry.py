@@ -339,6 +339,8 @@ def test_phase_checks_name_the_same_fault_for_a_batch_and_a_point():
             integrate_geodesic(g, bad_xs[1], bad_xis[1], 1.0)
         with pytest.raises(ValueError, match=message):
             geodesic_coincidence(g, g, bad_xs[1], bad_xis[1])
+        with pytest.raises(ValueError, match=message):
+            geodesic_coincidence(g, g, bad_xs, bad_xis)
 
 
 def test_trajectory_requires_increasing_times():
@@ -385,7 +387,8 @@ def test_arc_length_of_unit_speed_geodesic():
 @pytest.mark.parametrize("name", ["falsify:random-conformal", "ellipsoid:1,2,3"])
 def test_coincidence_measures_each_trajectory_once(name, monkeypatch):
     """The retry loop's last arc length serves the comparison window: the
-    conformal control re-integrates gbar, the ellipsoid leaves its chart."""
+    conformal control re-integrates gbar, the ellipsoid leaves its chart.
+    A stack measures each of its trajectories once too."""
     from geodequiv import geometry
 
     measured = []
@@ -395,11 +398,54 @@ def test_coincidence_measures_each_trajectory_once(name, monkeypatch):
         return _orig(traj, metric)
 
     pair = resolve_pair(name)
-    x0 = pair.g.chart.box_points(1, np.random.default_rng(5))[0]
-    want = geometry.geodesic_coincidence(pair.g, pair.gbar, x0, [0.6, 0.8])
+    xs = pair.g.chart.box_points(3, np.random.default_rng(5))
+    xis = np.array([[0.6, 0.8], [0.8, -0.6], [-1.0, 0.2]])
+    want = geometry.geodesic_coincidence(pair.g, pair.gbar, xs[0], xis[0])
+    want_stack = geometry.geodesic_coincidence(pair.g, pair.gbar, xs, xis)
     monkeypatch.setattr(geometry, "arc_length", counting_arc_length)
-    assert geometry.geodesic_coincidence(pair.g, pair.gbar, x0, [0.6, 0.8]) == want
+    assert geometry.geodesic_coincidence(pair.g, pair.gbar, xs[0], xis[0]) == want
     assert len({id(t) for t in measured}) == len(measured) >= 2
+    measured.clear()
+    got = geometry.geodesic_coincidence(pair.g, pair.gbar, xs, xis)
+    assert got.tobytes() == want_stack.tobytes()
+    assert len({id(t) for t in measured}) == len(measured) >= 6
+
+
+@pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "sphere", "falsify:random-conformal"])
+def test_a_stacked_coincidence_search_is_the_loop_over_its_directions(name, monkeypatch):
+    """Distance by distance, bit for bit.  The stack integrates g and gbar
+    once each over all directions, then makes one call per retry pass over
+    the gbar curves still short of length, each row at the span end its own
+    loop would use: the ellipsoid's curves leave the chart, the sphere's and
+    the conformal control's retry.  A stack of one is the single call."""
+    from geodequiv import geometry
+
+    calls = []
+
+    def recording(metric, x, xi, t_end, *args, _orig=geometry.integrate_geodesic):
+        calls.append((np.shape(x), np.broadcast_to(t_end, np.shape(x)[:-1]).tolist()))
+        return _orig(metric, x, xi, t_end, *args)
+
+    pair = resolve_pair(name)
+    xs, xis = sample_phase_points(pair, 20, np.random.default_rng(0))
+    monkeypatch.setattr(geometry, "integrate_geodesic", recording)
+    looped, spans = [], []
+    for x, xi in zip(xs, xis):
+        calls.clear()
+        looped.append(geodesic_coincidence(pair.g, pair.gbar, x, xi))
+        assert all(shape == (1, pair.dim) for shape, _ in calls)
+        spans.append([t_end for _, (t_end,) in calls[2:]])  # each retry's gbar span end
+    calls.clear()
+    stacked = geodesic_coincidence(pair.g, pair.gbar, xs, xis)
+    assert isinstance(looped[0], float)
+    assert stacked.shape == (20,) and stacked.tobytes() == np.array(looped).tobytes()
+    assert [shape for shape, _ in calls[:2]] == [(20, pair.dim)] * 2
+    passes = [t_ends for _, t_ends in calls[2:]]
+    assert passes == [[s[p] for s in spans if len(s) > p] for p in range(len(passes))]
+    assert all(len(a) >= len(b) for a, b in zip(passes, passes[1:]))
+    assert len(passes) == max(map(len, spans)) and (len(passes) > 0) == (name != "ellipsoid:1,2,3")
+    one = geodesic_coincidence(pair.g, pair.gbar, xs[:1], xis[:1])
+    assert one.shape == (1,) and one.tobytes() == np.array(looped[:1]).tobytes()
 
 
 def test_reparam_length_clip():

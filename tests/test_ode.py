@@ -82,6 +82,32 @@ def test_rk45_matches_scipy_bitwise(name):
     assert (exits > 0) == name.startswith("ellipsoid")
 
 
+def test_each_row_of_a_stack_integrates_over_its_own_span():
+    """Rows with distinct span ends, against scipy over each row's span: the
+    longer spans end at the chart exit's root, the shorter at their bound.
+    A scalar span end is every row's."""
+    pair = resolve_pair("ellipsoid:1,2,3")
+    metric, chart, n = pair.g, pair.g.chart, pair.dim
+    xs, xis = sample_phase_points(pair, 4, np.random.default_rng(3))
+    y0s = np.concatenate([xs, xis], axis=1)
+    event = lambda t, y: chart.domain_margin(y[..., :n])
+    rhs = lambda t, y: geodesic_rhs(t, y, metric)
+    t_bounds = np.array([0.3, 5.0, 0.5, 0.9])  # the chart exits at 1.09, 0.62, 0.64, 0.55
+    refs = [scipy_solve_ivp(geodesic_rhs, (0.0, t_bound), y0, method="RK45", rtol=1e-10,
+                            atol=1e-10, events=[_scipy_chart_exit], dense_output=True,
+                            args=(metric,)) for t_bound, y0 in zip(t_bounds, y0s)]
+    stack = ode.solve_ivp_stack(rhs, (0.0, t_bounds), y0s, 1e-10, event)
+    for got, ref in zip(stack, refs):
+        assert_matches_scipy(got, ref)
+    assert [ref.status for ref in refs] == [0, 1, 0, 1]
+    scalar = ode.solve_ivp_stack(rhs, (0.0, 0.5), y0s, 1e-10, event)
+    same = ode.solve_ivp_stack(rhs, (0.0, np.full(4, 0.5)), y0s, 1e-10, event)
+    for a, b in zip(scalar, same):
+        assert (a.status, a.nfev) == (b.status, b.nfev) and bitwise_equal(a.t, b.t)
+        assert bitwise_equal(a.sol.Q, b.sol.Q)
+    assert [a.t[-1] for a in scalar] == [0.5] * 4
+
+
 def test_brentq_matches_scipy_on_seeded_brackets():
     rng = np.random.default_rng(0)
     families = (
