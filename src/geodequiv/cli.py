@@ -12,9 +12,9 @@ Exit codes are a stable contract: 0 all checks passed, 1 a numerical
 check failed, 2 usage or configuration error.  Reports are deterministic
 for a fixed config and seed up to the "timestamp" field: per-point results
 are aggregated in point_id order, and the JSON is emitted with sorted keys.
-`geodesic` integrates and compares every direction in stacked calls, then
-builds each direction's report row and exports its curves on a worker pool;
-the environment variable GEODEQUIV_THREADS caps it.
+`geodesic` compares every direction in one stacked coincidence search, then
+builds each direction's report row and exports the curves it compared on a
+worker pool; the environment variable GEODEQUIV_THREADS caps it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -148,13 +148,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 def _check_out(out: str | None, directory: bool) -> None:
     """Refuse an output path that cannot be written, before any work is
-    done.  geodesic writes into a directory that it makes, the other
-    commands one file."""
+    done.  geodesic writes into a directory that it makes, so no part of
+    its path may be a file; the other commands write one file."""
     if out is None:
         return
     path = Path(out)
     if directory:
-        if not out or (path.exists() and not path.is_dir()):
+        if not out or any(p.exists() and not p.is_dir() for p in (path, *path.parents)):
             raise ConfigError(f"out must name a directory, not {out!r}")
     elif not out or path.is_dir() or not path.parent.is_dir():
         raise ConfigError(f"out must name a file in an existing directory, not {out!r}")
@@ -457,21 +457,16 @@ def _factory_csv(report: dict) -> str:
 
 
 def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
-    """Integrate seeded geodesics of both metrics, export the trajectories,
-    and summarize the unparameterized-curve distance per direction."""
+    """Compare seeded geodesics of both metrics as unparameterized curves,
+    summarize the distance per direction, and export the curves compared."""
     _max_workers(cfg.trajectories)  # refuse a malformed thread cap before any work
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
     xs, xis = sample_phase_points(pair, cfg.trajectories, rng)
-    opts = GeodesicOptions(samples=1001, energy_tol=1e-7)
     out_dir = Path(cfg.out) if cfg.out is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    # both metrics' curves from every start, in two lockstep integrations
-    tgs = integrate_geodesic(pair.g, xs, xis, cfg.t_end, opts)
-    vbs = xis / pair.gbar.norm(xs, xis)[:, None]
-    tbs = integrate_geodesic(pair.gbar, xs, vbs, cfg.t_end, opts)
-    dists = geodesic_coincidence(pair.g, pair.gbar, xs, xis, length=cfg.t_end)
+    dists, tgs, tbs = geodesic_coincidence(pair.g, pair.gbar, xs, xis, length=cfg.t_end)
 
     def one_direction(job):
         pid, (dist, tg, tb) = job
@@ -486,6 +481,8 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
             row["warning"] = "chart exit: partial trajectory"
         if out_dir is not None:
             for tag, traj in (("g", tg), ("gbar", tb)):
+                # every third of the 3001 samples compared: 1001 rows
+                traj = replace(traj, ts=traj.ts[::3], xs=traj.xs[::3], xis=traj.xis[::3])
                 name = f"geodesic_{pid:03d}_{tag}"
                 if cfg.out_format == "csv":
                     (out_dir / f"{name}.csv").write_text(trajectory_to_csv(traj))

@@ -473,8 +473,11 @@ def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float
     """Symmetrized distance between the g- and gbar-geodesics launched from
     the phase point (x, xi), compared as unparameterized curves over the
     initial piece of g-arc-length `length` (shorter when either trajectory
-    leaves the chart first).  (K, n) stacks x and xi give the (K,) distances
-    of K single calls; a single point gives a float.
+    leaves the chart first), and the curves compared: (distance, g
+    Trajectory, gbar Trajectory), each of 3001 samples.  The gbar curve is
+    that of the last pass that integrated it, so it may run past time
+    `length`.  (K, n) stacks x and xi give the (K,) distances and K-lists of
+    curves of K single calls.
 
     Near zero exactly when the two metrics share their geodesics through
     (x, xi).  The curves are compared at 2048 points each, which resolves
@@ -510,7 +513,7 @@ def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float
     dists = np.array([symmetric_curve_distance(arclength_reparam(tg, g, 2048, length=w),
                                                arclength_reparam(tb, g, 2048, length=w))
                       for tg, tb, w in zip(tgs, tbs, windows)])
-    return float(dists[0]) if np.ndim(x) == 1 else dists
+    return (float(dists[0]), tgs[0], tbs[0]) if np.ndim(x) == 1 else (dists, tgs, tbs)
 
 
 # ---------------------------------------------------------------------------

@@ -148,11 +148,11 @@ def test_07_geodesics_coincide_as_unparameterized_curves(equiv_pairs):
         pair = equiv_pairs[name]
         rng = np.random.default_rng(COINCIDENCE_SEED)
         xs, xis = sample_phase_points(pair, 20, rng)
-        worst = max(worst, float(np.max(geodesic_coincidence(pair.g, pair.gbar, xs, xis))))
+        worst = max(worst, float(np.max(geodesic_coincidence(pair.g, pair.gbar, xs, xis)[0])))
     broken = resolve_pair("falsify:random-conformal")
     rng = np.random.default_rng(COINCIDENCE_SEED)
     xs, xis = sample_phase_points(broken, 5, rng)
-    broken_min = float(np.min(geodesic_coincidence(broken.g, broken.gbar, xs, xis)))
+    broken_min = float(np.min(geodesic_coincidence(broken.g, broken.gbar, xs, xis)[0]))
     ok = worst <= 1e-5 and broken_min > 1e-2
     report_line(ok, "geodesic-coincidence",
                 f"max distance {worst:.3e} (tol 1e-05), "

@@ -98,12 +98,13 @@ def test_unknown_pair_is_config_error(capsys):
                                   "falsify:random-conformal:nan", "falsify:perturbed-lc:inf"])
 def test_non_finite_number_in_a_pair_name_is_a_config_error(capsys, monkeypatch, name):
     """Refused while the name resolves, before any geodesic is integrated."""
-    from geodequiv import cli
+    from geodequiv import cli, geometry
 
     def no_integration(*args):
         pytest.fail("a geodesic was integrated before the config error")
 
     monkeypatch.setattr(cli, "integrate_geodesic", no_integration)
+    monkeypatch.setattr(geometry, "integrate_geodesic", no_integration)
     code, out, err = run_cli(capsys, "verify", "--pair", name, "--trajectories", "2",
                              "--points", "5")
     assert code == 2 and out == ""
@@ -172,6 +173,7 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
     ("factory", {"out": "."}, {}, "out must name a file in an existing directory"),
     ("geodesic", {"out": ""}, {}, "out must name a directory"),
     ("geodesic", {"out": "spec.json"}, {}, "out must name a directory"),
+    ("geodesic", {"out": "spec.json/sub"}, {}, "out must name a directory"),
     ("verify", {"pair": {"coordinates": ["u", "v"], "box": [1, 2], "g[1][1]": "1",
                          "g[2][2]": "1", "gbar[1][1]": "1", "gbar[2][2]": "1"}},
      {}, '"box" must'),
@@ -180,18 +182,20 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
     ("levi-civita-build", None, {"box": [1, 2]}, "box[] must"),
     ("levi-civita-build", None, {"blocks": [5, None]}, "blocks[] must"),
 ], ids=["points", "trajectories", "seed", "t_end", "drift_tol", "out", "out-empty",
-        "out-missing-dir", "out-dir", "geodesic-out-empty", "geodesic-out-file", "inline-box",
-        "lc-box", "lc-blocks", "build-box", "build-blocks"])
+        "out-missing-dir", "out-dir", "geodesic-out-empty", "geodesic-out-file",
+        "geodesic-out-below-file", "inline-box", "lc-box", "lc-blocks", "build-box",
+        "build-blocks"])
 def test_malformed_config_is_a_config_error(capsys, monkeypatch, tmp_path, command, run, spec,
                                             message):
     """Each is refused with exit 2 before any geodesic is integrated; relative
     out paths resolve in tmp_path, which holds the file spec.json."""
-    from geodequiv import cli
+    from geodequiv import cli, geometry
 
     def no_integration(*args):
         pytest.fail("a geodesic was integrated before the config error")
 
     monkeypatch.setattr(cli, "integrate_geodesic", no_integration)
+    monkeypatch.setattr(geometry, "integrate_geodesic", no_integration)
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "spec.json"
     config.write_text(json.dumps({"sizes": [1, 1], "phi": ["1", "2"], **spec}))
@@ -209,12 +213,13 @@ def test_malformed_thread_cap_is_a_config_error(capsys, monkeypatch, tmp_path):
     """A GEODEQUIV_THREADS that is no integer is refused with exit 2, naming
     it, before out is made or any geodesic is integrated; an integer is
     clamped to 1 .. jobs."""
-    from geodequiv import cli
+    from geodequiv import cli, geometry
 
     def no_integration(*args):
         pytest.fail("a geodesic was integrated before the config error")
 
     monkeypatch.setattr(cli, "integrate_geodesic", no_integration)
+    monkeypatch.setattr(geometry, "integrate_geodesic", no_integration)
     monkeypatch.setenv("GEODEQUIV_THREADS", "abc")
     out_dir = tmp_path / "d"
     code, _, err = run_cli(capsys, "geodesic", "--pair", "sphere", "--trajectories", "2",
@@ -478,6 +483,33 @@ def test_geodesic_exports_straight_line(capsys, tmp_path):
     # straight line: collinear base points, constant velocity columns
     assert np.allclose(np.diff(pts[:, 3]), 0.0, atol=1e-12)
     assert np.allclose(np.diff(pts[:, 4]), 0.0, atol=1e-12)
+    assert len(rows) == 1001
+
+
+def test_geodesic_exports_the_curves_it_compared(capsys, tmp_path):
+    """Each export is every third sample of the curve whose distance its row
+    reports; the conformal control's gbar curves are retried past t_end."""
+    from geodequiv import resolve_pair
+    from geodequiv.geometry import arc_length, geodesic_coincidence
+
+    out_dir = tmp_path / "curves"
+    code, _, _ = run_cli(capsys, "geodesic", "--pair", "falsify:random-conformal",
+                         "--trajectories", "3", "--format", "csv", "--out", str(out_dir))
+    assert code == 0
+    rows = json.loads((out_dir / "summary.json").read_text())["directions"]
+    pair = resolve_pair("falsify:random-conformal")
+    xs, xis = sample_phase_points(pair, 3, np.random.default_rng(0))
+    dists, tgs, tbs = geodesic_coincidence(pair.g, pair.gbar, xs, xis, length=5.0)
+    for pid, (row, dist, tg, tb) in enumerate(zip(rows, dists, tgs, tbs)):
+        assert row["curve_distance"] == dist
+        assert row["g_arc_length"] == arc_length(tg, pair.g)
+        for tag, traj in (("g", tg), ("gbar", tb)):
+            table = np.column_stack([traj.ts, traj.xs, traj.xis])[::3]
+            want = ["t,x1,x2,xi1,xi2"] + [",".join(map(repr, r)) for r in table.tolist()]
+            got = (out_dir / f"geodesic_{pid:03d}_{tag}.csv").read_text()
+            assert got == "\n".join(want) + "\n"
+            assert len(table) == 1001
+    assert max(tb.ts[-1] for tb in tbs) > 5.0
 
 
 def test_geodesic_warns_on_chart_exit(capsys):
@@ -572,13 +604,13 @@ def test_cmd_factory_report_shape():
     }
 
 
-@pytest.mark.parametrize("command, stacks", [("verify", 1), ("factory", 1), ("geodesic", 2)])
+@pytest.mark.parametrize("command, stacks", [("verify", 1), ("factory", 1), ("geodesic", 0)])
 def test_commands_integrate_all_their_starts_in_one_call_per_metric(capsys, monkeypatch,
                                                                      command, stacks):
-    """verify and factory integrate every start of g in one stacked call,
-    geodesic those of g and of gbar in one each, then the coincidence search
-    does the same plus one stacked call per retry pass, over the rows still
-    short of its length; nothing integrates single starts."""
+    """verify and factory integrate every start of g in one stacked call.
+    geodesic integrates only in its coincidence search: the starts of g and
+    of gbar in one stacked call each, plus one per retry pass, over the rows
+    still short of its length.  Nothing integrates single starts."""
     from geodequiv import cli, geometry
 
     calls = []

@@ -400,13 +400,13 @@ def test_coincidence_measures_each_trajectory_once(name, monkeypatch):
     pair = resolve_pair(name)
     xs = pair.g.chart.box_points(3, np.random.default_rng(5))
     xis = np.array([[0.6, 0.8], [0.8, -0.6], [-1.0, 0.2]])
-    want = geometry.geodesic_coincidence(pair.g, pair.gbar, xs[0], xis[0])
-    want_stack = geometry.geodesic_coincidence(pair.g, pair.gbar, xs, xis)
+    want = geometry.geodesic_coincidence(pair.g, pair.gbar, xs[0], xis[0])[0]
+    want_stack = geometry.geodesic_coincidence(pair.g, pair.gbar, xs, xis)[0]
     monkeypatch.setattr(geometry, "arc_length", counting_arc_length)
-    assert geometry.geodesic_coincidence(pair.g, pair.gbar, xs[0], xis[0]) == want
+    assert geometry.geodesic_coincidence(pair.g, pair.gbar, xs[0], xis[0])[0] == want
     assert len({id(t) for t in measured}) == len(measured) >= 2
     measured.clear()
-    got = geometry.geodesic_coincidence(pair.g, pair.gbar, xs, xis)
+    got = geometry.geodesic_coincidence(pair.g, pair.gbar, xs, xis)[0]
     assert got.tobytes() == want_stack.tobytes()
     assert len({id(t) for t in measured}) == len(measured) >= 6
 
@@ -432,11 +432,11 @@ def test_a_stacked_coincidence_search_is_the_loop_over_its_directions(name, monk
     looped, spans = [], []
     for x, xi in zip(xs, xis):
         calls.clear()
-        looped.append(geodesic_coincidence(pair.g, pair.gbar, x, xi))
+        looped.append(geodesic_coincidence(pair.g, pair.gbar, x, xi)[0])
         assert all(shape == (1, pair.dim) for shape, _ in calls)
         spans.append([t_end for _, (t_end,) in calls[2:]])  # each retry's gbar span end
     calls.clear()
-    stacked = geodesic_coincidence(pair.g, pair.gbar, xs, xis)
+    stacked = geodesic_coincidence(pair.g, pair.gbar, xs, xis)[0]
     assert isinstance(looped[0], float)
     assert stacked.shape == (20,) and stacked.tobytes() == np.array(looped).tobytes()
     assert [shape for shape, _ in calls[:2]] == [(20, pair.dim)] * 2
@@ -444,7 +444,7 @@ def test_a_stacked_coincidence_search_is_the_loop_over_its_directions(name, monk
     assert passes == [[s[p] for s in spans if len(s) > p] for p in range(len(passes))]
     assert all(len(a) >= len(b) for a, b in zip(passes, passes[1:]))
     assert len(passes) == max(map(len, spans)) and (len(passes) > 0) == (name != "ellipsoid:1,2,3")
-    one = geodesic_coincidence(pair.g, pair.gbar, xs[:1], xis[:1])
+    one = geodesic_coincidence(pair.g, pair.gbar, xs[:1], xis[:1])[0]
     assert one.shape == (1,) and one.tobytes() == np.array(looped[:1]).tobytes()
 
 
