@@ -38,7 +38,6 @@ from .geometry import (
     Chart,
     GeodesicOptions,
     MetricField,
-    arc_length,
     check_phase_points,
     geodesic_coincidence,
     integrate_geodesic,
@@ -466,14 +465,14 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
     out_dir = Path(cfg.out) if cfg.out is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    dists, tgs, tbs = geodesic_coincidence(pair.g, pair.gbar, xs, xis, length=cfg.t_end)
+    dists, tgs, tbs, g_lengths = geodesic_coincidence(pair.g, pair.gbar, xs, xis, cfg.t_end)
 
     def one_direction(job):
-        pid, (dist, tg, tb) = job
+        pid, (dist, tg, tb, g_length) = job
         row = {
             "point_id": pid,
             "curve_distance": float(dist),
-            "g_arc_length": float(arc_length(tg, pair.g)),
+            "g_arc_length": float(g_length),
             "left_domain_g": bool(tg.left_domain),
             "left_domain_gbar": bool(tb.left_domain),
         }
@@ -490,7 +489,7 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, int]:
                     (out_dir / f"{name}.json").write_text(trajectory_to_json(traj))
         return row
 
-    rows = _pmap(one_direction, list(enumerate(zip(dists, tgs, tbs))))
+    rows = _pmap(one_direction, list(enumerate(zip(dists, tgs, tbs, g_lengths))))
     report = {
         "command": "geodesic",
         "pair": pair.pair_id,

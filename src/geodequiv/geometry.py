@@ -302,9 +302,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.ts.shape[0]
 
-    def energies(self) -> np.ndarray:
-        return _squared_speeds(self, self.metric)
-
 
 def _squared_speeds(traj: Trajectory, metric: MetricField) -> np.ndarray:
     """metric(xi, xi) at every sample of traj."""
@@ -366,7 +363,7 @@ def _trajectory(metric: MetricField, sol, opts: GeodesicOptions) -> Trajectory:
         ys[-1] = sol.y_event
     n = metric.dim
     traj = Trajectory(metric, ts, ys[:, :n], ys[:, n:], left_domain=left)
-    E = traj.energies()
+    E = _squared_speeds(traj, metric)
     drift = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-300))
     traj.energy_drift = drift
     if drift > opts.energy_tol:
@@ -378,17 +375,22 @@ def _trajectory(metric: MetricField, sol, opts: GeodesicOptions) -> Trajectory:
 # arc length and curve comparison
 
 
+def arc_steps(traj: Trajectory, metric: MetricField) -> np.ndarray:
+    """traj's arc-length pieces under `metric` (trapezoids, one per interval)."""
+    speed = np.sqrt(_squared_speeds(traj, metric))
+    return 0.5 * (speed[1:] + speed[:-1]) * np.diff(traj.ts)
+
+
 def arclength_reparam(
     traj: Trajectory,
-    metric: MetricField,
+    steps: np.ndarray,
     count: int,
     length: float | None = None,
 ) -> np.ndarray:
     """Resample the base curve at `count` points equally spaced in the arc
-    length measured by `metric` (not necessarily the generating one).  With
-    `length` given, only the initial piece of that arc length is kept."""
-    speed = np.sqrt(_squared_speeds(traj, metric))
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(traj.ts))])
+    length cumsummed from `steps`, the `arc_steps` that `arc_length` sums.
+    With `length` given, only the initial piece of that arc length is kept."""
+    s = np.concatenate([[0.0], np.cumsum(steps)])
     total = s[-1]
     if total <= 0:
         raise ValueError("curve has zero arc length")
@@ -402,8 +404,7 @@ def arclength_reparam(
 
 
 def arc_length(traj: Trajectory, metric: MetricField) -> float:
-    speed = np.sqrt(_squared_speeds(traj, metric))
-    return float(np.sum(0.5 * (speed[1:] + speed[:-1]) * np.diff(traj.ts)))
+    return float(np.sum(arc_steps(traj, metric)))
 
 
 def curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
@@ -470,14 +471,13 @@ def symmetric_curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
 
 
 def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float = 5.0):
-    """Symmetrized distance between the g- and gbar-geodesics launched from
-    the phase point (x, xi), compared as unparameterized curves over the
-    initial piece of g-arc-length `length` (shorter when either trajectory
-    leaves the chart first), and the curves compared: (distance, g
-    Trajectory, gbar Trajectory), each of 3001 samples.  The gbar curve is
-    that of the last pass that integrated it, so it may run past time
-    `length`.  (K, n) stacks x and xi give the (K,) distances and K-lists of
-    curves of K single calls.
+    """Symmetrized distance between the g- and gbar-geodesics from the phase
+    point (x, xi), compared as unparameterized curves over the initial piece
+    of g-arc-length `length` (shorter when either leaves the chart first),
+    the curves compared (3001 samples each, measured under g once) and the g
+    curve's g-arc length: (distance, g Trajectory, gbar Trajectory, length).
+    The gbar curve is the last pass's, so it may run past time `length`.
+    (K, n) stacks give K single calls' results as (K,) arrays and K-lists.
 
     Near zero exactly when the two metrics share their geodesics through
     (x, xi).  The curves are compared at 2048 points each, which resolves
@@ -500,7 +500,8 @@ def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float
     vbs = xis / gbar.norm(xs, xis)[:, None]
     t_end = np.full(len(xs), float(length))
     tbs = integrate_geodesic(gbar, xs, vbs, t_end, opts)
-    covered = np.array([arc_length(tb, g) for tb in tbs])
+    bsteps = [arc_steps(tb, g) for tb in tbs]
+    covered = np.array([np.sum(s) for s in bsteps])
     for _ in range(8):
         short = [k for k, tb in enumerate(tbs) if not tb.left_domain and covered[k] < length]
         if not short:
@@ -508,12 +509,17 @@ def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float
         t_end[short] *= np.maximum(1.5, 1.2 * length / np.maximum(covered[short], 1e-12))
         retried = integrate_geodesic(gbar, xs[short], vbs[short], t_end[short], opts)
         for k, tb in zip(short, retried):
-            tbs[k], covered[k] = tb, arc_length(tb, g)
-    windows = [min(length, arc_length(tg, g), c) for tg, c in zip(tgs, covered)]
-    dists = np.array([symmetric_curve_distance(arclength_reparam(tg, g, 2048, length=w),
-                                               arclength_reparam(tb, g, 2048, length=w))
-                      for tg, tb, w in zip(tgs, tbs, windows)])
-    return (float(dists[0]), tgs[0], tbs[0]) if np.ndim(x) == 1 else (dists, tgs, tbs)
+            tbs[k], bsteps[k] = tb, arc_steps(tb, g)
+            covered[k] = np.sum(bsteps[k])
+    gsteps = [arc_steps(tg, g) for tg in tgs]
+    g_lengths = np.array([np.sum(s) for s in gsteps])
+    windows = [min(length, gl, c) for gl, c in zip(g_lengths, covered)]
+    dists = np.array([symmetric_curve_distance(arclength_reparam(tg, gs, 2048, length=w),
+                                               arclength_reparam(tb, bs, 2048, length=w))
+                      for tg, tb, gs, bs, w in zip(tgs, tbs, gsteps, bsteps, windows)])
+    if np.ndim(x) == 1:
+        return float(dists[0]), tgs[0], tbs[0], float(g_lengths[0])
+    return dists, tgs, tbs, g_lengths
 
 
 # ---------------------------------------------------------------------------

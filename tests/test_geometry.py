@@ -20,7 +20,9 @@ from geodequiv.geometry import (
     GeodesicOptions,
     MetricField,
     Trajectory,
+    _squared_speeds,
     arc_length,
+    arc_steps,
     arclength_reparam,
     check_phase_points,
     christoffel,
@@ -242,7 +244,7 @@ def test_energy_drift_reported_within_default_tolerance():
     g = sphere_metric()
     traj = integrate_geodesic(g, [1.1, 0.0], [0.3, 0.9], 4.0)
     assert traj.energy_drift <= 1e-8
-    E = traj.energies()
+    E = _squared_speeds(traj, traj.metric)
     assert np.max(np.abs(E - E[0])) / abs(E[0]) == pytest.approx(traj.energy_drift)
 
 
@@ -355,7 +357,7 @@ def test_trajectory_requires_increasing_times():
 
 def test_reparam_straight_line_is_uniform():
     traj = integrate_geodesic(euclid_metric(2), [0.0, 0.0], [2.0, 0.0], 1.0)
-    pts = arclength_reparam(traj, traj.metric, count=11)
+    pts = arclength_reparam(traj, arc_steps(traj, traj.metric), count=11)
     assert np.allclose(pts[:, 1], 0.0, atol=1e-12)
     assert np.allclose(np.diff(pts[:, 0]), 0.2, atol=1e-9)
 
@@ -365,15 +367,15 @@ def test_reparam_is_speed_invariant():
     x, xi = np.array([1.2, 0.1]), np.array([0.4, 0.7])
     t1 = integrate_geodesic(g, x, xi, 2.0, GeodesicOptions(samples=801))
     t2 = integrate_geodesic(g, x, 2.0 * xi, 1.0, GeodesicOptions(samples=801))
-    c1 = arclength_reparam(t1, g, count=64)
-    c2 = arclength_reparam(t2, g, count=64)
+    c1 = arclength_reparam(t1, arc_steps(t1, g), count=64)
+    c2 = arclength_reparam(t2, arc_steps(t2, g), count=64)
     assert np.max(np.abs(c1 - c2)) < 1e-9
 
 
 def test_reparam_equator_gives_equal_central_angles():
     g = sphere_metric()
     traj = integrate_geodesic(g, [np.pi / 2, 0.0], [0.0, 1.0], 3.0)
-    pts = arclength_reparam(traj, g, count=31)
+    pts = arclength_reparam(traj, arc_steps(traj, g), count=31)
     # on the equator the g-arc length equals the longitude angle
     assert np.allclose(np.diff(pts[:, 1]), 0.1, atol=1e-8)
 
@@ -386,29 +388,45 @@ def test_arc_length_of_unit_speed_geodesic():
 
 @pytest.mark.parametrize("name", ["falsify:random-conformal", "ellipsoid:1,2,3"])
 def test_coincidence_measures_each_trajectory_once(name, monkeypatch):
-    """The retry loop's last arc length serves the comparison window: the
-    conformal control re-integrates gbar, the ellipsoid leaves its chart.
-    A stack measures each of its trajectories once too."""
+    """Outside the integrator's energy self-check, every curve the search
+    integrates is measured once, under g: its arc-length pieces serve the
+    retry loop, the comparison window, the returned length and the
+    reparametrization.  The conformal control re-integrates gbar, the
+    ellipsoid leaves its chart.  A stack measures each of its curves once too."""
     from geodequiv import geometry
 
-    measured = []
+    integrated, measured, inside = [], [], []
 
-    def counting_arc_length(traj, metric, _orig=geometry.arc_length):
-        measured.append(traj)
+    def integrating(*args, _orig=geometry.integrate_geodesic):
+        inside.append(True)
+        try:
+            out = _orig(*args)
+        finally:
+            inside.pop()
+        integrated.extend(out if isinstance(out, list) else [out])
+        return out
+
+    def measuring(traj, metric, _orig=geometry._squared_speeds):
+        if not inside:
+            measured.append((traj, metric))  # held, so that no id is reused
         return _orig(traj, metric)
 
     pair = resolve_pair(name)
     xs = pair.g.chart.box_points(3, np.random.default_rng(5))
     xis = np.array([[0.6, 0.8], [0.8, -0.6], [-1.0, 0.2]])
-    want = geometry.geodesic_coincidence(pair.g, pair.gbar, xs[0], xis[0])[0]
-    want_stack = geometry.geodesic_coincidence(pair.g, pair.gbar, xs, xis)[0]
-    monkeypatch.setattr(geometry, "arc_length", counting_arc_length)
-    assert geometry.geodesic_coincidence(pair.g, pair.gbar, xs[0], xis[0])[0] == want
-    assert len({id(t) for t in measured}) == len(measured) >= 2
-    measured.clear()
-    got = geometry.geodesic_coincidence(pair.g, pair.gbar, xs, xis)[0]
-    assert got.tobytes() == want_stack.tobytes()
-    assert len({id(t) for t in measured}) == len(measured) >= 6
+    want = geometry.geodesic_coincidence(pair.g, pair.gbar, xs[0], xis[0])
+    want_stack = geometry.geodesic_coincidence(pair.g, pair.gbar, xs, xis)
+    monkeypatch.setattr(geometry, "integrate_geodesic", integrating)
+    monkeypatch.setattr(geometry, "_squared_speeds", measuring)
+    for x, xi, ref, least in ((xs[0], xis[0], want, 2), (xs, xis, want_stack, 6)):
+        integrated.clear()
+        measured.clear()
+        got = geometry.geodesic_coincidence(pair.g, pair.gbar, x, xi)
+        for i in (0, 3):
+            assert np.asarray(got[i]).tobytes() == np.asarray(ref[i]).tobytes()
+        assert all(metric is pair.g for _, metric in measured)
+        assert sorted(id(t) for t, _ in measured) == sorted(map(id, integrated))
+        assert len(measured) >= least
 
 
 @pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "sphere", "falsify:random-conformal"])
@@ -450,7 +468,7 @@ def test_a_stacked_coincidence_search_is_the_loop_over_its_directions(name, monk
 
 def test_reparam_length_clip():
     traj = integrate_geodesic(euclid_metric(2), [0.0, 0.0], [1.0, 0.0], 4.0)
-    pts = arclength_reparam(traj, traj.metric, count=5, length=2.0)
+    pts = arclength_reparam(traj, arc_steps(traj, traj.metric), count=5, length=2.0)
     assert pts[-1][0] == pytest.approx(2.0, abs=1e-9)
 
 

@@ -1,4 +1,4 @@
-"""Every module-level import of the package, the tests and the scripts is read.
+"""Every module-level import of the package and the tests is read.
 
 The modules are parsed, not imported.  A name bound by a module-level
 `import` or `from ... import` counts as read when the module loads it
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
+MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 
 
 def unread_imports(tree: ast.Module) -> list[str]:
@@ -34,7 +34,7 @@ def unread_imports(tree: ast.Module) -> list[str]:
 
 
 def test_the_scan_covers_every_tree():
-    assert {p.relative_to(ROOT).parts[0] for p in MODULES} == {"src", "tests", "scripts"}
+    assert {p.relative_to(ROOT).parts[0] for p in MODULES} == {"src", "tests"}
 
 
 def test_the_scan_finds_an_unread_import():
