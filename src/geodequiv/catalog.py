@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dsl
-from .dsl import Add, Call, Div, Expression, Lit, Mul, Neg, Sub, Var, d_sqrt, product
+from .dsl import Add, Call, Div, Expression, Lit, Mul, Neg, Sub, Var, apply_function, product
 from .geometry import Chart, MetricField
 from .integrals import MetricPair
 from .levicivita import LCPair, LCSpec, build_pair, lcspec_from_json
@@ -103,7 +103,7 @@ def elliptic_to_cartesian(spec: EllipsoidSpec, nu_cells: Sequence) -> list:
         for j in range(n):
             if j != k:
                 den *= a[k] - a[j]
-        out.append(d_sqrt(num / den))
+        out.append(apply_function("sqrt", num / den))
     return out
 
 

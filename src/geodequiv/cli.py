@@ -41,6 +41,7 @@ from .geometry import (
     check_phase_points,
     geodesic_coincidence,
     integrate_geodesic,
+    _number_csv,
     trajectory_to_csv,
     trajectory_to_json,
 )
@@ -299,6 +300,15 @@ def _integrate_starts(pair: MetricPair, cfg: RunConfig, rng: np.random.Generator
     return integrate_geodesic(pair.g, xs, xis, cfg.t_end, opts)
 
 
+def _drifts(family, trajs: list, picks: list) -> list:
+    """conservation_drift of the family's values at each trajectory's picked
+    samples, from one family(xs, xis) call over the picks of all of them."""
+    values = family(np.concatenate([t.xs[k] for t, k in zip(trajs, picks)]),
+                    np.concatenate([t.xis[k] for t, k in zip(trajs, picks)]))
+    splits = np.cumsum([len(k) for k in picks])[:-1]
+    return [conservation_drift(v) for v in np.split(values, splits)]
+
+
 def _check(name: str, value: float, tol: float) -> dict:
     """The row of a check that passes when value <= tol."""
     return {"name": name, "value": value, "tol": tol, "pass": value <= tol}
@@ -331,16 +341,16 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     brackets at seeded phase points, and the independence rank."""
     pair = resolve_config_pair(cfg.pair)
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    for pid, traj in enumerate(_integrate_starts(pair, cfg, rng)):
-        drifts = conservation_drift(integrals_at(pair, traj.xs, traj.xis))
-        rows.append({
-            "point_id": pid,
-            "drift": [float(d) for d in drifts],
-            "energy_drift": float(traj.energy_drift),
-            "left_domain": bool(traj.left_domain),
-            "t_reached": float(traj.ts[-1]),
-        })
+    trajs = _integrate_starts(pair, cfg, rng)
+    drifts = _drifts(lambda xs, xis: integrals_at(pair, xs, xis), trajs,
+                     [np.arange(len(t)) for t in trajs])
+    rows = [{
+        "point_id": pid,
+        "drift": [float(d) for d in drift],
+        "energy_drift": float(traj.energy_drift),
+        "left_domain": bool(traj.left_domain),
+        "t_reached": float(traj.ts[-1]),
+    } for pid, (traj, drift) in enumerate(zip(trajs, drifts))]
     drift_max = float(np.max([r["drift"] for r in rows]))
 
     xs, xis = sample_phase_points(pair, cfg.points, rng)
@@ -374,14 +384,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
 
 def _verify_csv(report: dict) -> str:
     k = len(report["trajectories"][0]["drift"])
-    header = "point_id," + ",".join(f"drift_I{i}" for i in range(k)) + ",energy_drift,left_domain"
-    lines = [header]
-    for r in report["trajectories"]:
-        lines.append(
-            f'{r["point_id"]},' + ",".join(repr(d) for d in r["drift"])
-            + f',{r["energy_drift"]!r},{int(r["left_domain"])}'
-        )
-    return "\n".join(lines) + "\n"
+    cols = ["point_id", *(f"drift_I{i}" for i in range(k)), "energy_drift", "left_domain"]
+    return _number_csv(cols, [[r["point_id"], *r["drift"], r["energy_drift"],
+                               int(r["left_domain"])] for r in report["trajectories"]])
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +425,10 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
     # conservation: integrate every start, then take the factory route once
     # over every step-th sample of all trajectories
     trajs = _integrate_starts(pair, cfg, rng)
-    picks = [np.arange(0, len(t), max(1, len(t) // 50)) for t in trajs]
-    fc = factory_integrals(pair, np.concatenate([t.xs[k] for t, k in zip(trajs, picks)]),
-                           np.concatenate([t.xis[k] for t, k in zip(trajs, picks)]))
-    splits = np.cumsum([len(k) for k in picks])[:-1]
-    traj_rows = []
-    for pid, cs in enumerate(np.split(fc.coeffs, splits)):
-        drift = conservation_drift(cs)
-        traj_rows.append({"point_id": pid, "coeff_drift": [float(d) for d in drift]})
+    drifts = _drifts(lambda xs, xis: factory_integrals(pair, xs, xis).coeffs, trajs,
+                     [np.arange(0, len(t), max(1, len(t) // 50)) for t in trajs])
+    traj_rows = [{"point_id": pid, "coeff_drift": [float(d) for d in drift]}
+                 for pid, drift in enumerate(drifts)]
     drift_max = float(np.max([r["coeff_drift"] for r in traj_rows]))
 
     checks = [
@@ -440,15 +441,10 @@ def cmd_factory(cfg: RunConfig) -> tuple[dict, int]:
 
 def _factory_csv(report: dict) -> str:
     k = len(report["points"][0]["coeffs"])
-    header = ("point_id,a," + ",".join(f"b{i}" for i in range(k))
-              + ",remainder,remainder_rel,crosscheck")
-    lines = [header]
-    for r in report["points"]:
-        lines.append(
-            f'{r["point_id"]},{r["a"]!r},' + ",".join(repr(c) for c in r["coeffs"])
-            + f',{r["remainder"]!r},{r["remainder_rel"]!r},{r["crosscheck"]!r}'
-        )
-    return "\n".join(lines) + "\n"
+    cols = ["point_id", "a", *(f"b{i}" for i in range(k)), "remainder", "remainder_rel",
+            "crosscheck"]
+    return _number_csv(cols, [[r["point_id"], r["a"], *r["coeffs"], r["remainder"],
+                               r["remainder_rel"], r["crosscheck"]] for r in report["points"]])
 
 
 # ---------------------------------------------------------------------------

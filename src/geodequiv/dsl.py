@@ -181,18 +181,6 @@ def apply_function(name: str, z):
     return f(v)
 
 
-def d_sqrt(z):
-    return apply_function("sqrt", z)
-
-
-def d_exp(z):
-    return apply_function("exp", z)
-
-
-def d_log(z):
-    return apply_function("log", z)
-
-
 def scalar_value(z):
     """Strip any dual payload, returning the plain float/array value."""
     if isinstance(z, Dual1):

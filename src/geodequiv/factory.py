@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dsl, matops
-from .dsl import d_sqrt
+from .dsl import apply_function
 from .geometry import MetricField
 from .integrals import MetricPair, integrals_at
 
@@ -133,8 +133,8 @@ def _pullback_theta(pair: MetricPair):
     def theta(x, xi):
         gm = pair.g.eval_cells(x)
         gb = pair.gbar.eval_cells(x)
-        ng = d_sqrt(matops.quadratic_form(gm, xi))
-        nb = d_sqrt(matops.quadratic_form(gb, xi))
+        ng = apply_function("sqrt", matops.quadratic_form(gm, xi))
+        nb = apply_function("sqrt", matops.quadratic_form(gb, xi))
         scalefac = ng / nb
         w = matops.matvec(gb, xi)
         return [scalefac * wi for wi in w]

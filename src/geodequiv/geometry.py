@@ -179,10 +179,12 @@ class MetricField:
         """Entry values at x of shape (N, n) or (n,): (N, n, n) values, or
         (n, n) at a single point."""
         x = np.asarray(x, dtype=float)
-        vals = matops.values_matrix(self.eval_cells(list(x.T)))
-        if vals.ndim <= x.ndim:  # all entries constant
-            vals = np.broadcast_to(vals, x.shape[:-1] + vals.shape)
-        return vals
+        env = eval_env(self.chart.names, list(x.T))
+        out = np.empty(x.shape[:-1] + (self.dim, self.dim))
+        for i, row in enumerate(self.upper):
+            for k, e in enumerate(row):
+                out[..., i, i + k] = out[..., i + k, i] = e.evaluate(env)
+        return out
 
     def values_and_grads(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Values and coordinate gradients of the entries.
@@ -205,9 +207,8 @@ class MetricField:
 
     def check_positive_definite(self) -> None:
         """Cholesky spot check at 32 seeded points of the chart's sample box."""
-        rng = np.random.default_rng(0)
-        for x in self.chart.box_points(32, rng):
-            vals = self.values(x)
+        xs = self.chart.box_points(32, np.random.default_rng(0))
+        for x, vals in zip(xs, self.values(xs)):
             try:
                 np.linalg.cholesky(vals)
             except np.linalg.LinAlgError:
@@ -239,12 +240,8 @@ def _failing_minor(vals: np.ndarray) -> int:
 
 def christoffel(metric: MetricField, x) -> np.ndarray:
     """Gamma[k, i, j] = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
-    vals, grads = metric.values_and_grads(np.asarray(x, dtype=float))
-    return _christoffel_from(vals, grads)
-
-
-def _christoffel_from(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
     # grads[..., i, j, k] = d_k g_{ij}
+    vals, grads = metric.values_and_grads(np.asarray(x, dtype=float))
     # Build source S[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     di_gjl = np.einsum("...jli->...lij", grads)
     dj_gil = np.einsum("...ilj->...lij", grads)
@@ -470,31 +467,35 @@ def symmetric_curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     return max(curve_distance(c1, c2), curve_distance(c2, c1))
 
 
-def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float = 5.0):
-    """Symmetrized distance between the g- and gbar-geodesics from the phase
-    point (x, xi), compared as unparameterized curves over the initial piece
-    of g-arc-length `length` (shorter when either leaves the chart first),
-    the curves compared (3001 samples each, measured under g once) and the g
-    curve's g-arc length: (distance, g Trajectory, gbar Trajectory, length).
-    The gbar curve is the last pass's, so it may run past time `length`.
-    (K, n) stacks give K single calls' results as (K,) arrays and K-lists.
+def geodesic_coincidence(g: MetricField, gbar: MetricField, xs, xis, length: float = 5.0):
+    """Symmetrized distances between the g- and gbar-geodesics from each of
+    the K phase points of the (K, n) stacks xs, xis, compared as
+    unparameterized curves over the initial piece of g-arc-length `length`
+    (shorter when either leaves the chart first), the curves compared (3001
+    samples each, measured under g once) and the g curves' g-arc lengths:
+    ((K,) distances, K g Trajectory, K gbar Trajectory, (K,) lengths).  A
+    gbar curve is its last pass's, so it may run past time `length`.
 
-    Near zero exactly when the two metrics share their geodesics through
-    (x, xi).  The curves are compared at 2048 points each, which resolves
-    distances down to about 1e-6 over length 5, including near chart walls
-    where the coordinate curvature of the curves grows; the integrator
-    tolerance is relaxed accordingly, since curve positions only need to be
-    accurate well below the comparison's discretization floor.
+    A distance is near zero exactly when the two metrics share their
+    geodesics through that phase point.  The curves are compared at 2048
+    points each, which resolves distances down to about 1e-6 over length 5,
+    including near chart walls where the coordinate curvature of the curves
+    grows; the integrator tolerance is relaxed accordingly, since curve
+    positions only need to be accurate well below the comparison's
+    discretization floor.
 
     Each metric's curves of all directions are one lockstep integration.
     Unit gbar-speed does not cover g-arc-length at unit rate, so each of at
     most 8 retry passes integrates the gbar curves still inside the chart
     and short of `length` again in one call, each over its own grown span.
-    A stack raises the first error of its g curves, then of its gbar curves,
-    then of each pass, so it may name a later direction than a loop would.
+    The search raises the first error of its g curves, then of its gbar
+    curves, then of each pass, so it may name a later direction than a
+    search per direction would.
     """
-    check_phase_points(x, xi)
-    xs, xis = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, xi))
+    check_phase_points(xs, xis)
+    if np.ndim(xs) != 2:
+        raise ValueError("the coincidence search takes (K, n) stacks of phase points")
+    xs, xis = (np.asarray(a, dtype=float) for a in (xs, xis))
     opts = GeodesicOptions(tol=1e-8, samples=3001, energy_tol=1e-5)
     tgs = integrate_geodesic(g, xs, xis / g.norm(xs, xis)[:, None], length, opts)
     vbs = xis / gbar.norm(xs, xis)[:, None]
@@ -517,8 +518,6 @@ def geodesic_coincidence(g: MetricField, gbar: MetricField, x, xi, length: float
     dists = np.array([symmetric_curve_distance(arclength_reparam(tg, gs, 2048, length=w),
                                                arclength_reparam(tb, bs, 2048, length=w))
                       for tg, tb, gs, bs, w in zip(tgs, tbs, gsteps, bsteps, windows)])
-    if np.ndim(x) == 1:
-        return float(dists[0]), tgs[0], tbs[0], float(g_lengths[0])
     return dists, tgs, tbs, g_lengths
 
 
@@ -532,9 +531,14 @@ def _export_table(traj: Trajectory) -> tuple[list[str], list[list[float]]]:
     return cols, np.column_stack([traj.ts, traj.xs, traj.xis]).tolist()
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    cols, rows = _export_table(traj)
+def _number_csv(cols: list[str], rows: list[list]) -> str:
+    """A table of numbers as CSV: the column names, then each row's values
+    written by repr, which round-trips every float."""
     return "\n".join([",".join(cols)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
+def trajectory_to_csv(traj: Trajectory) -> str:
+    return _number_csv(*_export_table(traj))
 
 
 def trajectory_to_json(traj: Trajectory) -> str:

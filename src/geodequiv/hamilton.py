@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dsl
+from . import dsl, matops
 from .geometry import MetricField
 
 
@@ -55,32 +55,14 @@ def coordinate_function(i: int, dim: int) -> PhaseFunction:
 
 def momentum_function(metric: MetricField, i: int) -> PhaseFunction:
     """p_i = g_{ij} xi^j as a function on the tangent bundle."""
-    n = metric.dim
-
-    def fn(x, xi):
-        cells = metric.eval_cells(x)
-        s = cells[i, 0] * xi[0]
-        for j in range(1, n):
-            s = s + cells[i, j] * xi[j]
-        return s
-
-    return PhaseFunction(fn, n)
+    return PhaseFunction(lambda x, xi: matops.matvec(metric.eval_cells(x)[i:i + 1], xi)[0],
+                         metric.dim)
 
 
 def hamiltonian(metric: MetricField) -> PhaseFunction:
     """H = 1/2 g_{ij} xi^i xi^j (kinetic energy of the metric)."""
-    n = metric.dim
-
-    def fn(x, xi):
-        cells = metric.eval_cells(x)
-        s = None
-        for i in range(n):
-            for j in range(n):
-                term = cells[i, j] * xi[i] * xi[j]
-                s = term if s is None else s + term
-        return 0.5 * s
-
-    return PhaseFunction(fn, n)
+    return PhaseFunction(lambda x, xi: 0.5 * matops.quadratic_form(metric.eval_cells(x), xi),
+                         metric.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dsl, matops
-from .dsl import Expression, d_exp
+from .dsl import Expression, apply_function
 from .geometry import MetricField
 from .hamilton import PhaseFunction, bracket, canonical_gradients
 
@@ -107,7 +107,7 @@ def s_matrix(pair: MetricPair, x, k: int) -> np.ndarray:
         raise ValueError("k must lie in 0..n-1")
     G = matops.from_cells(g_operator(pair, x).tolist())
     *_, (_, N) = _faddeev_leverrier(G, k)
-    return (-1.0) ** n * matops.values_matrix(N)
+    return (-1.0) ** n * np.array(N.tolist(), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def _pipeline(pair: MetricPair, x_cells: list, xi_cells: list, ks: Sequence[int]
             for i in range(1, n):
                 q = q + xi_cells[i] * u[i]
             quads[k] = sign * q
-    return [d_exp(logratio * ((k + 2.0) / (n + 1.0))) * quads[k] for k in ks]
+    return [apply_function("exp", logratio * ((k + 2.0) / (n + 1.0))) * quads[k] for k in ks]
 
 
 def integral_phase_function(pair: MetricPair, k: int) -> PhaseFunction:
@@ -167,7 +167,7 @@ def painleve_I0(pair: MetricPair, x, xi) -> float:
     Equals (-1)^n I_0."""
     gb, _, logratio = _weight_data(pair, list(np.asarray(x, dtype=float)))
     xi = list(np.asarray(xi, dtype=float))
-    out = d_exp(logratio * (2.0 / (pair.dim + 1.0))) * matops.quadratic_form(gb, xi)
+    out = apply_function("exp", logratio * (2.0 / (pair.dim + 1.0))) * matops.quadratic_form(gb, xi)
     return float(dsl.scalar_value(out))
 
 
@@ -211,7 +211,7 @@ def transfer_killing(pair: MetricPair, covector: Sequence[Expression]) -> PhaseF
         s = covector[0].evaluate(env) * xi[0]
         for i in range(1, n):
             s = s + covector[i].evaluate(env) * xi[i]
-        return d_exp(logratio * (1.0 / (n + 1.0))) * s
+        return apply_function("exp", logratio * (1.0 / (n + 1.0))) * s
 
     return PhaseFunction(fn, n)
 

@@ -122,26 +122,20 @@ def _mul_expr(a: Expression, b: Expression) -> Expression:
     return Mul(a, b)
 
 
+@dataclass(frozen=True, eq=False)
 class LCPair:
     """A fully parsed and validated normal-form pair.
 
     Built through `build_pair`; carries the metric pair plus the phi and block
-    expressions needed for the closed-form integrals.
+    expressions needed for the closed-form integrals.  Equality is identity,
+    since the block grids are arrays.
     """
 
-    def __init__(
-        self,
-        spec: LCSpec,
-        chart: Chart,
-        phi_exprs: tuple[Expression, ...],
-        block_grids: tuple[np.ndarray, ...],
-        pair: MetricPair,
-    ):
-        self.spec = spec
-        self.chart = chart
-        self.phi_exprs = phi_exprs
-        self.block_grids = block_grids
-        self.pair = pair
+    spec: LCSpec
+    chart: Chart
+    phi_exprs: tuple[Expression, ...]
+    block_grids: tuple[np.ndarray, ...]
+    pair: MetricPair
 
     @property
     def dim(self) -> int:
@@ -306,8 +300,9 @@ def build_pair(spec: LCSpec, pair_id: str = "lc") -> LCPair:
     pair = MetricPair(g, gbar, pair_id=pair_id)
     built = LCPair(spec, chart, tuple(phi_exprs), tuple(block_grids), pair)
 
-    for x in chart.box_points(32, np.random.default_rng(0)):
-        phis = [float(dsl.scalar_value(v)) for v in built.phi_values(list(x))]
+    xs = chart.box_points(32, np.random.default_rng(0))
+    table = np.column_stack([np.broadcast_to(v, len(xs)) for v in built.phi_values(list(xs.T))])
+    for x, phis in zip(xs, table.tolist()):
         if phis[0] <= 0.0 or any(hi <= lo for lo, hi in zip(phis, phis[1:])):
             raise ValueError(
                 f"phi values must be positive and strictly increasing; got {phis} at {x.tolist()}"

@@ -2,7 +2,7 @@
 
 Matrices here are numpy object arrays whose cells are "scalar-like": floats,
 (N,) float arrays for vectorised evaluation, or dual numbers.  Everything is
-written with plain +, *, / and the dispatching sqrt/log helpers from dsl, so
+written with plain +, *, / and dsl's dispatching `apply_function`, so
 one code path serves value evaluation, batched evaluation and exact
 differentiation.  Dimensions are tiny (n <= 6), loops are fine.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsl import d_log, d_sqrt, scalar_value
+from .dsl import apply_function, scalar_value
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -90,7 +90,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
                 pivot = scalar_value(s)
                 if np.any(np.asarray(pivot) <= 0.0):
                     raise NotPositiveDefiniteError(i + 1)
-                L[i, j] = d_sqrt(s)
+                L[i, j] = apply_function("sqrt", s)
             else:
                 L[i, j] = s / L[j, j]
     return L
@@ -119,24 +119,21 @@ def back_sub_T(L: np.ndarray, y: list) -> list:
     return x
 
 
-def chol_solve_vec(L: np.ndarray, b: list) -> list:
-    return back_sub_T(L, forward_sub(L, b))
-
-
 def chol_solve_mat(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) X = B column by column."""
     n, m = B.shape
     out = np.empty((n, m), dtype=object)
     for j in range(m):
-        col = chol_solve_vec(L, [B[i, j] for i in range(n)])
+        col = back_sub_T(L, forward_sub(L, [B[i, j] for i in range(n)]))
         for i in range(n):
             out[i, j] = col[i]
     return out
 
 
 def chol_logdet(L: np.ndarray):
-    s = d_log(L[0, 0])
+    s = apply_function("log", L[0, 0])
     for i in range(1, L.shape[0]):
-        s = s + d_log(L[i, i])
+        s = s + apply_function("log", L[i, i])
     return s + s
 
 
@@ -146,10 +143,3 @@ def quadratic_form(a: np.ndarray, v) -> object:
     for i in range(1, len(w)):
         s = s + v[i] * w[i]
     return s
-
-
-def values_matrix(a: np.ndarray) -> np.ndarray:
-    """Float matrix of cell values: (n, m) for scalar cells, and (N, n, m)
-    when any cell is batched, with the constant cells broadcast."""
-    vals = np.broadcast_arrays(*(np.asarray(scalar_value(c), dtype=float) for c in a.flat))
-    return np.stack(vals, axis=-1).reshape(vals[0].shape + a.shape)

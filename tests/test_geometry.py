@@ -345,6 +345,15 @@ def test_phase_checks_name_the_same_fault_for_a_batch_and_a_point():
             geodesic_coincidence(g, g, bad_xs, bad_xis)
 
 
+def test_the_coincidence_search_refuses_a_single_start():
+    """The search takes (K, n) stacks only; one start is a stack of one."""
+    g = euclid_metric(2)
+    x, xi = np.array([0.0, 0.0]), np.array([1.0, 0.5])
+    with pytest.raises(ValueError, match=re.escape("(K, n) stacks")):
+        geodesic_coincidence(g, g, x, xi)
+    assert geodesic_coincidence(g, g, x[None], xi[None])[0].shape == (1,)
+
+
 def test_trajectory_requires_increasing_times():
     g = euclid_metric(1)
     with pytest.raises(ValueError):
@@ -414,16 +423,16 @@ def test_coincidence_measures_each_trajectory_once(name, monkeypatch):
     pair = resolve_pair(name)
     xs = pair.g.chart.box_points(3, np.random.default_rng(5))
     xis = np.array([[0.6, 0.8], [0.8, -0.6], [-1.0, 0.2]])
-    want = geometry.geodesic_coincidence(pair.g, pair.gbar, xs[0], xis[0])
+    want = geometry.geodesic_coincidence(pair.g, pair.gbar, xs[:1], xis[:1])
     want_stack = geometry.geodesic_coincidence(pair.g, pair.gbar, xs, xis)
     monkeypatch.setattr(geometry, "integrate_geodesic", integrating)
     monkeypatch.setattr(geometry, "_squared_speeds", measuring)
-    for x, xi, ref, least in ((xs[0], xis[0], want, 2), (xs, xis, want_stack, 6)):
+    for x, xi, ref, least in ((xs[:1], xis[:1], want, 2), (xs, xis, want_stack, 6)):
         integrated.clear()
         measured.clear()
         got = geometry.geodesic_coincidence(pair.g, pair.gbar, x, xi)
         for i in (0, 3):
-            assert np.asarray(got[i]).tobytes() == np.asarray(ref[i]).tobytes()
+            assert got[i].tobytes() == ref[i].tobytes()
         assert all(metric is pair.g for _, metric in measured)
         assert sorted(id(t) for t, _ in measured) == sorted(map(id, integrated))
         assert len(measured) >= least
@@ -435,7 +444,7 @@ def test_a_stacked_coincidence_search_is_the_loop_over_its_directions(name, monk
     once each over all directions, then makes one call per retry pass over
     the gbar curves still short of length, each row at the span end its own
     loop would use: the ellipsoid's curves leave the chart, the sphere's and
-    the conformal control's retry.  A stack of one is the single call."""
+    the conformal control's retry.  The loop runs stacks of one."""
     from geodequiv import geometry
 
     calls = []
@@ -450,20 +459,17 @@ def test_a_stacked_coincidence_search_is_the_loop_over_its_directions(name, monk
     looped, spans = [], []
     for x, xi in zip(xs, xis):
         calls.clear()
-        looped.append(geodesic_coincidence(pair.g, pair.gbar, x, xi)[0])
+        looped.append(geodesic_coincidence(pair.g, pair.gbar, x[None], xi[None])[0][0])
         assert all(shape == (1, pair.dim) for shape, _ in calls)
         spans.append([t_end for _, (t_end,) in calls[2:]])  # each retry's gbar span end
     calls.clear()
     stacked = geodesic_coincidence(pair.g, pair.gbar, xs, xis)[0]
-    assert isinstance(looped[0], float)
     assert stacked.shape == (20,) and stacked.tobytes() == np.array(looped).tobytes()
     assert [shape for shape, _ in calls[:2]] == [(20, pair.dim)] * 2
     passes = [t_ends for _, t_ends in calls[2:]]
     assert passes == [[s[p] for s in spans if len(s) > p] for p in range(len(passes))]
     assert all(len(a) >= len(b) for a, b in zip(passes, passes[1:]))
     assert len(passes) == max(map(len, spans)) and (len(passes) > 0) == (name != "ellipsoid:1,2,3")
-    one = geodesic_coincidence(pair.g, pair.gbar, xs[:1], xis[:1])[0]
-    assert one.shape == (1,) and one.tobytes() == np.array(looped[:1]).tobytes()
 
 
 def test_reparam_length_clip():

@@ -19,7 +19,8 @@ def test_matmul_and_matvec_match_numpy():
         A = rng.normal(size=(n, n))
         B = rng.normal(size=(n, n))
         v = rng.normal(size=n)
-        got = matops.values_matrix(matops.matmul(matops.from_cells(A.tolist()), matops.from_cells(B.tolist())))
+        got = np.array(matops.matmul(matops.from_cells(A.tolist()),
+                                     matops.from_cells(B.tolist())).tolist(), dtype=float)
         assert np.allclose(got, A @ B, rtol=1e-14)
         gv = np.array([scalar_value(c) for c in matops.matvec(matops.from_cells(A.tolist()), list(v))])
         assert np.allclose(gv, A @ v, rtol=1e-14)
@@ -30,7 +31,7 @@ def test_cholesky_and_logdet_match_numpy(n, seed):
     rng = np.random.default_rng(seed)
     A = random_spd(rng, n)
     L = matops.cholesky(matops.from_cells(A.tolist()))
-    Lv = matops.values_matrix(L)
+    Lv = np.array(L.tolist(), dtype=float)
     assert np.allclose(Lv, np.linalg.cholesky(A), rtol=1e-10, atol=1e-12)
     ld = float(scalar_value(matops.chol_logdet(L)))
     assert ld == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
@@ -42,9 +43,10 @@ def test_chol_solve_matches_numpy():
     A = random_spd(rng, n)
     B = rng.normal(size=(n, n))
     L = matops.cholesky(matops.from_cells(A.tolist()))
-    X = matops.values_matrix(matops.chol_solve_mat(L, matops.from_cells(B.tolist())))
+    X = np.array(matops.chol_solve_mat(L, matops.from_cells(B.tolist())).tolist(), dtype=float)
     assert np.allclose(X, np.linalg.solve(A, B), rtol=1e-10, atol=1e-12)
-    x = [float(scalar_value(c)) for c in matops.chol_solve_vec(L, list(B[:, 0]))]
+    x = np.array(matops.chol_solve_mat(L, matops.from_cells(B[:, :1].tolist())).tolist(),
+                 dtype=float)[:, 0]
     assert np.allclose(x, np.linalg.solve(A, B[:, 0]), rtol=1e-10)
 
 
