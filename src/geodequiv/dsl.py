@@ -61,10 +61,6 @@ class DomainError(DslError):
 # dual numbers
 
 
-def _nonpos(v) -> bool:
-    return bool(np.any(np.asarray(v) <= 0.0))
-
-
 class Dual1:
     """Value and first-order gradient with respect to a fixed variable set.
 
@@ -151,12 +147,12 @@ def _pow_plain(v, e: float):
 
 
 def _refuse_nonpos(function: str, v) -> None:
-    """Raise DomainError where v <= 0.  On a recorded `_Name` the test is
-    written into the generated code instead, once per distinct line."""
+    """Raise DomainError at the first value of v that is <= 0.  On a recorded
+    `_Name` the generated code makes this call instead, once per distinct line."""
     if isinstance(v, _Name):
-        v.tape.write(None, f"if _nonpos({{0}}): raise DomainError({function!r}, {{0}})", (v.text,))
-    elif _nonpos(v):
-        raise DomainError(function, v)
+        v.tape.write(None, f"_refuse_nonpos({function!r}, {{0}})", (v.text,))
+    elif np.any(bad := np.asarray(v) <= 0.0):
+        raise DomainError(function, float(np.asarray(v)[bad][0]))
 
 
 # unary functions: plain callable, derivative, whether the argument must be > 0
@@ -589,7 +585,7 @@ class _Tape:
         self.lines: dict[tuple, None] = {}  # in order, each distinct line once
         self.names: dict[tuple, _Name] = {}  # (format, operands) -> its name
         self.consts: dict[tuple, str] = {}
-        self.scope = {"_nonpos": _nonpos, "DomainError": DomainError,
+        self.scope = {"_refuse_nonpos": _refuse_nonpos,
                       "zero": np.float64(0.0), "one": np.float64(1.0)}
 
     def write(self, target: str | None, fmt: str, operands: tuple) -> None:

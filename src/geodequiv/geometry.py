@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -404,63 +403,78 @@ def arc_length(traj: Trajectory, metric: MetricField) -> float:
     return float(np.sum(arc_steps(traj, metric)))
 
 
+_BLOCK = 32  # segments of c2 per bounding ball in curve_distance
+
+
 def curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     """One-sided distance: max over points of c1 of the Euclidean-in-chart
     distance to the piecewise linear interpolation of c2.  Both curves must
-    be finite.
+    be finite; a single vertex is one zero-length segment.
 
-    The distance dv from a point to the nearest vertex of c2 bounds its
-    distance to the polyline from above, and every point of a segment lies
-    within half the longest segment, h, of one of the segment's ends.  So
-    the nearest segment has an end within dv + h of the point, and only the
-    segments at the vertices inside that ball are measured, each exactly.
-
-    Only points that can set the maximum take that ball.  The two segments
-    at a point's nearest vertex give an upper bound ub on its exact value.
-    The point with the largest ub is measured exactly first, giving A; a
-    point with ub <= A cannot exceed A, so only the points with ub > A are
-    measured exactly after it.  Min and max are exact, so the result is that
-    of measuring every point.
+    Every value that enters the min is a point's exact distance to one
+    segment.  Point i's bound ub is its distance to the two segments at
+    vertex i * M // (len(c1) - 1), its own relative index along c2's M
+    segments.  The point with the largest ub is measured first, giving A, and
+    only points with ub > A can exceed it.  Their bounds are tightened by the
+    distance to the nearest ball centre, the start of a segment; the point
+    with the largest is measured next, then every point whose bound exceeds
+    the best value.  A point is measured against the blocks of _BLOCK
+    segments whose ball, about a vertex and holding all the block's
+    vertices, comes within its bound.  The 1e-12 relative margins exceed the
+    rounding of every distance compared, so the result is that of measuring
+    every point against every segment.
     """
-    # imported here, so that commands comparing no curves never load scipy
-    from scipy.spatial import cKDTree
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     if len(c2) == 1:
-        return float(np.max(np.linalg.norm(c1 - c2[0], axis=1)))
+        c2 = np.vstack([c2, c2])
     a = c2[:-1]  # (M, n) segment starts
     d = c2[1:] - a  # (M, n)
     dd = np.einsum("mj,mj->m", d, d)
-    h = 0.5 * np.sqrt(np.max(dd))
     dd = np.where(dd == 0.0, 1.0, dd)
+    last = len(a) - 1
 
-    def squared(rows, verts):
-        """Squared distance of each point c1[rows] to the two segments
-        ending at its vertex in verts (vertex k ends segments k - 1 and k),
-        the smaller of the two."""
-        segs = np.column_stack([verts - 1, verts]).ravel().clip(0, len(a) - 1)
-        w = c1[np.repeat(rows, 2)] - a[segs]
+    def squared(rows, segs):
+        """Squared distance of each point c1[rows] to segment segs of c2."""
+        w = c1[rows] - a[segs]
         t = np.clip(np.einsum("kj,kj->k", w, d[segs]) / dd[segs], 0.0, 1.0)
         diff = w - t[:, None] * d[segs]
-        return np.min(np.einsum("kj,kj->k", diff, diff).reshape(-1, 2), axis=1)
+        return np.einsum("kj,kj->k", diff, diff)
 
-    tree = cKDTree(c2)
-    dv, nearest = tree.query(c1)
-    # the nearest vertex's segments are measured for every point, also
-    # in case rounding leaves that vertex out of its own ball
-    ub = squared(np.arange(len(c1)), nearest)
+    starts = np.arange(0, len(a), _BLOCK)
+    blocks = np.minimum(starts[:, None] + np.arange(_BLOCK), last)  # (B, _BLOCK) segments
+    centres = a[np.minimum(starts + _BLOCK // 2, last)]
+    verts = c2[np.minimum(starts[:, None] + np.arange(_BLOCK + 1), last + 1)] - centres[:, None]
+    radius = np.sqrt(np.max(np.einsum("bkj,bkj->bk", verts, verts), axis=1))
 
-    def exact(points):
-        balls = tree.query_ball_point(c1[points], dv[points] + h)
-        sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(points))
-        local = np.repeat(np.arange(len(points)), sizes)
-        best = ub[points]
-        np.minimum.at(best, local, squared(points[local], np.fromiter(
-            chain.from_iterable(balls), np.intp, sizes.sum())))
-        return best
+    rows = np.arange(len(c1))
+    band = (rows * len(a) // max(len(c1) - 1, 1))[:, None] + [-1, 0]  # a vertex's segments
+    ub = np.min(squared(np.repeat(rows, 2), band.clip(0, last).ravel()).reshape(-1, 2), axis=1)
 
-    top = exact(np.argmax(ub)[None])[0]
-    return float(np.sqrt(np.max(exact(np.flatnonzero(ub > top)), initial=top)))
+    def centre_distances(points):
+        off = c1[points, None] - centres
+        return np.sqrt(np.einsum("pbj,pbj->pb", off, off))
+
+    def exact(points, dc, bound):
+        """Exact squared distances of c1[points], each <= bound, at centre distances dc."""
+        near = dc <= (radius + np.sqrt(bound)[:, None]) * (1.0 + 1e-12)
+        p, b = np.nonzero(near)
+        mins = np.full(near.shape, np.inf)
+        mins[p, b] = np.min(squared(np.repeat(points[p], _BLOCK), blocks[b].ravel())
+                            .reshape(-1, _BLOCK), axis=1)
+        return np.minimum(ub[points], np.min(mins, axis=1))
+
+    top = np.argmax(ub)[None]
+    best = exact(top, centre_distances(top), ub[top])[0]
+    points = np.flatnonzero(ub > best)
+    dc = centre_distances(points)
+    bound = np.minimum(ub[points], np.square(np.min(dc, axis=1) * (1.0 + 1e-12)))
+    if len(points):
+        k = [np.argmax(bound)]
+        best = max(best, exact(points[k], dc[k], bound[k])[0])
+    keep = bound > best
+    best = np.max(exact(points[keep], dc[keep], bound[keep]), initial=best)
+    return float(np.sqrt(best))
 
 
 def symmetric_curve_distance(c1: np.ndarray, c2: np.ndarray) -> float:

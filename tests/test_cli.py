@@ -547,6 +547,17 @@ def test_lc_build_bad_config(capsys, tmp_path):
     assert "error" in err
 
 
+def test_lc_build_domain_error_names_the_first_failing_value(capsys, tmp_path):
+    """log of a phi sampled at <= 0 is refused with that one value, not the
+    whole batch of sampled values."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"sizes": [1, 1], "phi": ["2 + log(x1)", "1"]}))
+    code, _, err = run_cli(capsys, "levi-civita-build", "--config", str(bad))
+    assert code == 2
+    value = re.fullmatch(r"error: .*domain error in 'log' at argument (\S+)", err.strip())
+    assert float(value.group(1)) <= 0.0
+
+
 # ---------------------------------------------------------------------------
 # catalog command
 

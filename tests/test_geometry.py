@@ -518,9 +518,9 @@ def test_distance_against_exhaustive_search():
     for _ in range(6):
         c1 = np.cumsum(rng.normal(size=(rng.integers(20, 200), 3)) * 0.2, axis=0)
         c2 = np.cumsum(rng.normal(size=(rng.integers(20, 200), 3)) * 0.2, axis=0)
-        assert curve_distance(c1, c2) == pytest.approx(brute_curve_distance(c1, c2), rel=1e-12)
+        assert curve_distance(c1, c2) == brute_curve_distance(c1, c2)
         near = c1 + 1e-7 * rng.normal(size=c1.shape)
-        assert curve_distance(c1, near) == pytest.approx(brute_curve_distance(c1, near), rel=1e-9)
+        assert curve_distance(c1, near) == brute_curve_distance(c1, near)
 
 
 @st.composite
@@ -578,8 +578,7 @@ def loose_bound_curves(draw, n):
 @given(data=st.data())
 def test_distance_matches_brute_force(case, data):
     c1, c2 = data.draw(curve_cases(case))
-    want = brute_curve_distance(c1, c2)
-    assert abs(curve_distance(c1, c2) - want) <= 4 * np.spacing(want)
+    assert curve_distance(c1, c2) == brute_curve_distance(c1, c2)
 
 
 def test_distance_when_every_point_ties_at_its_bound():

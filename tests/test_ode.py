@@ -179,7 +179,7 @@ def test_rk45_warns_and_raises_a_tolerance_below_100_eps_as_scipy_does():
     assert bitwise_equal(got.t, ref.t)
 
 
-@pytest.mark.parametrize("command", ["verify", "factory"])
+@pytest.mark.parametrize("command", ["verify", "factory", "geodesic"])
 def test_command_runs_without_scipy(command):
     # a None entry in sys.modules makes every import of scipy fail
     code = ("import sys; sys.modules['scipy'] = None; from geodequiv.cli import main; "

@@ -149,7 +149,7 @@ def test_domain_errors_match(src, bad):
         with pytest.raises(DomainError) as walked:
             tree_walk(metric, xs)
         got, want = compiled.value, walked.value
-        assert got.function == want.function
+        assert got.function == want.function and want.argument == bad  # the first value <= 0
         assert np.asarray(got.argument).tobytes() == np.asarray(want.argument).tobytes()
 
 
