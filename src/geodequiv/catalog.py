@@ -168,7 +168,7 @@ def ambient_pullbacks(spec: EllipsoidSpec, nu) -> tuple[np.ndarray, np.ndarray]:
     nu = np.asarray(nu, dtype=float)
     cells = [0.0] + dsl.dual1_seeds(nu)
     xs = elliptic_to_cartesian(spec, cells)
-    J = np.array([x.grad for x in xs])  # (n, n-1), rows d x_k / d nu
+    J = np.array([[x.grad.get(k, 0.0) for k in range(nu.size)] for x in xs])  # rows d x_k / d nu
     vals = np.array([x.value for x in xs])
     g = J.T @ J
     eta = float(np.sum((vals / a) ** 2))

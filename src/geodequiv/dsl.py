@@ -8,9 +8,8 @@ to push exact first derivatives through evaluations in the package.
 
 Scalars flowing through `Expression.evaluate` may be plain floats, numpy
 arrays (vectorised evaluation over many points at once), or `Dual1`
-instances.  Dual payloads themselves may be vectorised: a `Dual1` can hold a
-value of shape (N,) and a gradient of shape (nvars, N), all seeded by
-`dual1_seeds`.
+instances, vectorised too as `dual1_seeds` makes them: a value of shape (N,)
+and a gradient mapping each slot that can be non-zero to a partial of (N,).
 
 `compile_value_grad` turns a set of expressions into one generated Python
 function computing their values and gradients as straight-line code.  It
@@ -64,11 +63,11 @@ class DomainError(DslError):
 class Dual1:
     """Value and first-order gradient with respect to a fixed variable set.
 
-    `grad` has the derivative axis first, shape (nvars,) + np.shape(value),
-    so values and plain operands multiply it by numpy broadcasting.  That
-    holds while every Dual1 of one pass has the batch shape of its seeds
-    (`dual1_seeds`): a single-point Dual1 times a batched plain array would
-    mis-broadcast, silently when the batch size equals nvars.
+    `grad` maps each variable slot that can be non-zero to the partial in it,
+    shaped like the value or broadcasting to it; a missing slot is an exact
+    zero.  Each rule runs per present slot in its dense form's order, so the
+    results differ from a dense gradient's only in the sign of an exact zero
+    or where the dense form made NaN from 0 * inf.
     """
 
     __slots__ = ("value", "grad")
@@ -80,47 +79,54 @@ class Dual1:
 
     def __add__(self, other):
         if isinstance(other, Dual1):
-            return Dual1(self.value + other.value, self.grad + other.grad)
+            g1, g2 = self.grad, other.grad
+            grad = {i: g + g2[i] if i in g2 else g for i, g in g1.items()}
+            return Dual1(self.value + other.value, {**g2, **grad})
         return Dual1(self.value + other, self.grad)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Dual1):
-            return Dual1(self.value - other.value, self.grad - other.grad)
+            g1, g2 = self.grad, other.grad
+            grad = {i: g - g2[i] if i in g2 else g for i, g in g1.items()}
+            return Dual1(self.value - other.value,
+                         {**{i: -g for i, g in g2.items() if i not in g1}, **grad})
         return Dual1(self.value - other, self.grad)
 
     def __rsub__(self, other):
-        return Dual1(other - self.value, -self.grad)
+        return Dual1(other - self.value, {i: -g for i, g in self.grad.items()})
 
     def __mul__(self, other):
+        a = self.value
         if isinstance(other, Dual1):
-            return Dual1(
-                self.value * other.value,
-                self.value * other.grad + other.value * self.grad,
-            )
-        return Dual1(self.value * other, other * self.grad)
+            b, g1, g2 = other.value, self.grad, other.grad
+            grad = {i: a * g2[i] + b * g if i in g2 else b * g for i, g in g1.items()}
+            return Dual1(a * b, {**{i: a * g for i, g in g2.items() if i not in g1}, **grad})
+        return Dual1(a * other, {i: other * g for i, g in self.grad.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Dual1):
-            qv = self.value / other.value
-            return Dual1(qv, (self.grad - qv * other.grad) / other.value)
-        return Dual1(self.value / other, self.grad / other)
+            b, g1, g2 = other.value, self.grad, other.grad
+            qv = self.value / b
+            grad = {i: (g - qv * g2[i]) / b if i in g2 else g / b for i, g in g1.items()}
+            return Dual1(qv, {**{i: -(qv * g) / b for i, g in g2.items() if i not in g1}, **grad})
+        return Dual1(self.value / other, {i: g / other for i, g in self.grad.items()})
 
     def __rtruediv__(self, other):
         rv = other / self.value
-        return Dual1(rv, -(rv / self.value) * self.grad)
+        return self._chain(rv, -(rv / self.value))
 
     def __neg__(self):
-        return Dual1(-self.value, -self.grad)
+        return Dual1(-self.value, {i: -g for i, g in self.grad.items()})
 
     def __pow__(self, e):
         return _pow_dual(self, e)
 
     def _chain(self, fv, d1):
-        return Dual1(fv, d1 * self.grad)
+        return Dual1(fv, {i: d1 * g for i, g in self.grad.items()})
 
 
 def _pow_dual(z: Dual1, e) -> Dual1:
@@ -488,30 +494,28 @@ def eval_env(names: Sequence[str], cells: Sequence) -> dict:
 
 def dual1_seeds(x) -> list[Dual1]:
     """One Dual1 per component of x (shape (..., k)), seeded at consecutive
-    variable slots.  The gradients are read-only views of one identity of
-    shape (k, k) + x.shape[:-1]; a 1-D x gives float values."""
+    variable slots: component i has the one slot i, holding 1.0 for a 1-D x,
+    whose values are floats, and otherwise ones of shape x.shape[:-1]."""
     x = np.asarray(x, dtype=float)
-    k, batch = x.shape[-1], x.shape[:-1]
-    eye = np.broadcast_to(np.eye(k).reshape((k, k) + (1,) * len(batch)), (k, k) + batch)
+    one = 1.0 if x.ndim == 1 else np.ones(x.shape[:-1])
     values = x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)
-    return [Dual1(v, e) for v, e in zip(values, eye)]
+    return [Dual1(v, {i: one}) for i, v in enumerate(values)]
 
 
 def phase_jacobian(fn: Callable, xs, xis) -> np.ndarray:
     """Differentials in (x, xi) of the m outputs of fn(x_cells, xi_cells), by
     one forward dual pass over phase points xs, xis of shape (..., n).
 
-    Returns shape (..., m, 2n), the x slots first; an output that does not
-    depend on (x, xi) gets a zero row.
+    Returns shape (..., m, 2n), the x slots first; the slots an output's
+    gradient lacks, all of them for a plain value, are zero.
     """
-    xs = np.asarray(xs, dtype=float)
-    n = xs.shape[-1]
-    cells = dual1_seeds(np.concatenate([xs, np.asarray(xis, dtype=float)], axis=-1))
+    cells = dual1_seeds(np.concatenate([xs, xis], axis=-1))
+    n = len(cells) // 2
     outs = fn(cells[:n], cells[n:])
-    jac = np.zeros(xs.shape[:-1] + (len(outs), 2 * n))
+    jac = np.zeros(np.shape(xs)[:-1] + (len(outs), 2 * n))
     for k, out in enumerate(outs):
-        if isinstance(out, Dual1):
-            jac[..., k, :] = np.moveaxis(out.grad, 0, -1)
+        for i, g in (out.grad.items() if isinstance(out, Dual1) else ()):
+            jac[..., k, i] = g
     return jac
 
 
@@ -526,23 +530,24 @@ def compile_value_grad(exprs: Sequence[Expression], names: Sequence[str]) -> Cal
     turn, its value and then its n partial derivatives.  Cells may be float64
     scalars or equally shaped arrays.  The code is a recording of the `Dual1`
     tree walk itself: the walk runs once over seeds whose value and gradient
-    slots are `_Name`s, every operation on a name writes one line, and
+    slot are `_Name`s, every operation on a name writes one line, and
     variable-free subtrees fold to the constants the walk computes.  So each
     derivative rule lives in `Dual1` alone, and the outputs are bitwise those
-    of the walk over `dual1_seeds`, domain errors included.  A repeated line
-    keeps its first name, so shared subtrees are computed once across all
-    expressions.
+    of the walk over `dual1_seeds`, domain errors included.  A partial whose
+    slot the walk never fills is the constant `zero`, computed by no line.  A
+    repeated line keeps its first name, so shared subtrees are computed once
+    across all expressions.
     """
     tape = _Tape()
     n = len(names)
     zero, one = _Name("zero", tape), _Name("one", tape)
-    eye = np.array([[one if j == i else zero for j in range(n)] for i in range(n)], dtype=object)
-    env = eval_env(names, [Dual1(_Name(f"x{i}", tape), eye[i]) for i in range(n)])
+    env = eval_env(names, [Dual1(_Name(f"x{i}", tape), {i: one}) for i in range(n)])
     out = []
     try:
         for e in exprs:
             v = e.evaluate(env)
-            out += [v.value, *v.grad] if isinstance(v, Dual1) else [v] + [zero] * n
+            grad = v.grad if isinstance(v, Dual1) else {}
+            out += [scalar_value(v)] + [grad.get(i, zero) for i in range(n)]
     except (DomainError, ZeroDivisionError) as exc:
         # a variable-free subtree fails on every input, so the code raises
         # there, after the domain tests recorded before it, as the walk does
@@ -616,8 +621,7 @@ class _Tape:
 
 class _Name(np.lib.mixins.NDArrayOperatorsMixin):
     """One value of a generated function.  An arithmetic operation or numpy
-    function applied to it records one line and returns the result's name; on
-    an object array of names, a `Dual1` gradient, it runs slot by slot."""
+    function applied to it records one line and returns the result's name."""
 
     __slots__ = ("text", "tape")
 
@@ -626,8 +630,4 @@ class _Name(np.lib.mixins.NDArrayOperatorsMixin):
         self.tape = tape
 
     def __array_ufunc__(self, ufunc, method, *args, **kwargs):
-        slots = [len(a) for a in args if isinstance(a, np.ndarray)]
-        if slots:
-            return np.array([ufunc(*(a[k] if isinstance(a, np.ndarray) else a for a in args))
-                             for k in range(slots[0])], dtype=object)
         return self.tape.record(ufunc, args)

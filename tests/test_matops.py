@@ -71,7 +71,7 @@ def test_cells_carry_dual_derivatives_through_cholesky():
     """d/dt log det (A + t*I) = trace((A + t*I)^{-1}), checked via dual cells."""
     rng = np.random.default_rng(11)
     A = random_spd(rng, 3)
-    t = Dual1(0.7, np.array([1.0]))
+    t = Dual1(0.7, {0: 1.0})
     cells = matops.from_cells(A.tolist())
     shifted = matops.add_scaled_identity(cells, t)
     ld = matops.chol_logdet(matops.cholesky(shifted))

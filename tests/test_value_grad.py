@@ -1,14 +1,20 @@
 """Compiled metric entries against the Dual1 tree walk, and the one (x, xi)
-dual pass against an inline one.
+dual pass against a dense one.
 
 `MetricField.values_and_grads` runs code generated by
 `dsl.compile_value_grad`, which records the `Dual1` walk once on symbolic
 cells.  The tree walk with `Dual1` seeds, which `dsl.phase_jacobian` and the
 catalog module still use, stays the reference for that code's execution: the
 two must agree bit for bit, at single points and on batches, and raise the
-same domain errors.  `dsl.phase_jacobian` feeds `integrals_jacobian`,
-`PhaseFunction.grad_batch` and the factory forms; each must be bitwise the
-dual pass written out inline.
+same domain errors.
+
+A `Dual1` carries only the gradient slots that can be non-zero.  `DenseDual`
+below is the dense pass it replaced, every slot of every gradient computed.
+A missing slot is an exact zero, so the sparse results must equal the dense
+ones up to the sign of an exact zero, except where the dense pass made NaN
+from 0 * inf.  `dsl.phase_jacobian` feeds `integrals_jacobian`,
+`PhaseFunction.grad_batch` and the factory forms; each is compared with the
+dense pass on every pair.
 """
 
 import numpy as np
@@ -28,9 +34,11 @@ from geodequiv.dsl import (
     Neg,
     Sub,
     Var,
+    compile_value_grad,
     dual1_seeds,
     parse,
     pow_expr,
+    scalar_value,
 )
 from geodequiv.geometry import Chart, MetricField
 from geodequiv.hamilton import PhaseFunction, hamiltonian
@@ -50,45 +58,142 @@ PAIRS = (
 )
 
 
-def tree_walk(metric, xs):
-    """values_and_grads through Dual1 seeds over the entry ASTs."""
+class DenseDual(Dual1):
+    """The dense dual number: `grad` has the derivative axis first, shape
+    (nvars,) + batch, and each rule runs on every slot at once.  It keeps
+    `Dual1`'s operation order, so a present slot of a `Dual1` gets the same
+    operations, and `_pow_dual` and `apply_function` reach these rules."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, Dual1):
+            return DenseDual(self.value + other.value, self.grad + other.grad)
+        return DenseDual(self.value + other, self.grad)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Dual1):
+            return DenseDual(self.value - other.value, self.grad - other.grad)
+        return DenseDual(self.value - other, self.grad)
+
+    def __rsub__(self, other):
+        return DenseDual(other - self.value, -self.grad)
+
+    def __mul__(self, other):
+        if isinstance(other, Dual1):
+            return DenseDual(self.value * other.value,
+                             self.value * other.grad + other.value * self.grad)
+        return DenseDual(self.value * other, other * self.grad)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Dual1):
+            qv = self.value / other.value
+            return DenseDual(qv, (self.grad - qv * other.grad) / other.value)
+        return DenseDual(self.value / other, self.grad / other)
+
+    def __rtruediv__(self, other):
+        rv = other / self.value
+        return DenseDual(rv, -(rv / self.value) * self.grad)
+
+    def __neg__(self):
+        return DenseDual(-self.value, -self.grad)
+
+    def _chain(self, fv, d1):
+        return DenseDual(fv, d1 * self.grad)
+
+
+def dense_seeds(x):
+    """One DenseDual per component of x (shape (..., k)): component i gets
+    row i of a (k, k) + batch identity; a 1-D x gives float values."""
+    x = np.asarray(x, dtype=float)
+    k, batch = x.shape[-1], x.shape[:-1]
+    eye = np.broadcast_to(np.eye(k).reshape((k, k) + (1,) * len(batch)), (k, k) + batch)
+    values = x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)
+    return [DenseDual(v, e) for v, e in zip(values, eye)]
+
+
+def grad_rows(c, n, batch):
+    """The gradient of c with the derivative axis last, shape batch + (n,):
+    zero for a plain value and in each slot a sparse gradient lacks."""
+    if isinstance(c, DenseDual):
+        return np.broadcast_to(np.moveaxis(c.grad, 0, -1), batch + (n,))
+    rows = np.zeros(batch + (n,))
+    for i, g in (c.grad.items() if isinstance(c, Dual1) else ()):
+        rows[..., i] = g
+    return rows
+
+
+def tree_walk(metric, xs, seeds=dual1_seeds):
+    """values_and_grads through dual seeds over the entry ASTs: `Dual1` ones
+    by default, or `dense_seeds`."""
     xs = np.asarray(xs, dtype=float)
     squeeze = xs.ndim == 1
     if squeeze:
         xs = xs[None, :]
     n, N = metric.dim, xs.shape[0]
-    cells = metric.eval_cells(dual1_seeds(xs))
+    cells = metric.eval_cells(seeds(xs))
     vals = np.empty((N, n, n))
     grads = np.zeros((N, n, n, n))
     for i in range(n):
         for j in range(n):
-            c = cells[i, j]
-            if isinstance(c, Dual1):
-                vals[:, i, j] = np.broadcast_to(np.asarray(c.value), (N,))
-                grad = np.moveaxis(np.asarray(c.grad), 0, -1)
-                grads[:, i, j, :] = np.broadcast_to(grad, (N, n))
-            else:
-                vals[:, i, j] = np.broadcast_to(np.asarray(c, dtype=float), (N,))
+            vals[:, i, j] = np.broadcast_to(np.asarray(scalar_value(cells[i, j])), (N,))
+            grads[:, i, j, :] = grad_rows(cells[i, j], n, (N,))
     if squeeze:
         return vals[0], grads[0]
     return vals, grads
 
 
-def outcome(fn, *args):
-    """The bytes of both returned arrays, or the class of the exception.
+def canonical(a, signed_zeros=True):
+    """a with one NaN for every NaN and, unless signed_zeros, +0.0 for -0.0.
 
-    NaNs are made canonical first: when both operands of an addition are NaN,
-    numpy's scalar and array loops return different ones of the two (IEEE 754
-    leaves that open), so a single point, which the compiled code evaluates
-    on scalars, can differ from the tree walk's arrays in the NaN sign bit.
-    Every other bit, signed zeros included, must match.
+    NaNs are made canonical because, when both operands of an addition are
+    NaN, numpy's scalar and array loops return different ones of the two
+    (IEEE 754 leaves that open), so a single point, which the compiled code
+    evaluates on scalars, can differ from the tree walk's arrays in the NaN
+    sign bit.  Zeros are made canonical only against the dense pass: a slot a
+    sparse gradient lacks is +0.0 where the dense pass may have computed
+    -0.0.
     """
+    a = np.where(np.isnan(a), np.nan, a)
+    return a if signed_zeros else a + 0.0
+
+
+def run(fn, *args):
+    """fn's returned arrays, or the class of the domain error it raised."""
     try:
         with np.errstate(all="ignore"):
-            vals, grads = fn(*args)
+            return fn(*args)
     except (DomainError, ZeroDivisionError) as exc:
         return type(exc)
-    return tuple((a.shape, np.where(np.isnan(a), np.nan, a).tobytes()) for a in (vals, grads))
+
+
+def outcome(fn, *args, signed_zeros=True):
+    """The bytes of every returned array after `canonical`, or the class of
+    the exception."""
+    arrays = run(fn, *args)
+    if isinstance(arrays, type):
+        return arrays
+    return tuple((a.shape, canonical(a, signed_zeros).tobytes()) for a in arrays)
+
+
+def assert_dense_agrees(metric, xs):
+    """values_and_grads against the dense tree walk: the same exception, or
+    the same values and the same gradients up to the sign of an exact zero,
+    except where the dense walk made NaN from 0 * inf: it multiplied the zero
+    of a slot that the sparse walk, which the compiled code records, lacks."""
+    got, want = run(metric.values_and_grads, xs), run(tree_walk, metric, xs, dense_seeds)
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+        return
+    (vals, grads), (dvals, dgrads) = got, want
+    assert canonical(vals).tobytes() == canonical(dvals).tobytes()
+    differ = canonical(grads, False) != canonical(dgrads, False)
+    differ &= ~(np.isnan(grads) & np.isnan(dgrads))
+    assert np.all(np.isnan(dgrads[differ]))
 
 
 def test_every_catalog_pair_is_bitwise_equal():
@@ -100,6 +205,16 @@ def test_every_catalog_pair_is_bitwise_equal():
             for x in xs[:10]:
                 assert outcome(metric.values_and_grads, x) == outcome(tree_walk, metric, x), name
             assert outcome(metric.values_and_grads, xs) == outcome(tree_walk, metric, xs), name
+
+
+def test_every_catalog_pair_is_the_dense_pass_up_to_zero_signs():
+    rng = np.random.default_rng(20)
+    for name in PAIRS:
+        pair = resolve_pair(name)
+        for metric in (pair.g, pair.gbar):
+            xs = metric.chart.box_points(50, rng)
+            want = outcome(tree_walk, metric, xs, dense_seeds, signed_zeros=False)
+            assert outcome(metric.values_and_grads, xs, signed_zeros=False) == want, name
 
 
 NAMES = ("x1", "x2")
@@ -135,6 +250,30 @@ def test_random_expressions_are_bitwise_equal(e1, e2, e3, a, b, c, d):
     metric = MetricField(Chart(NAMES), [[e1, Add(e1, e2)], [e3]])
     for xs in ([a, b], [[a, b], [c, d], [b, a]]):
         assert outcome(metric.values_and_grads, xs) == outcome(tree_walk, metric, xs)
+        assert_dense_agrees(metric, xs)
+
+
+def test_a_single_point_dual_times_a_batch_has_per_point_gradients():
+    """Float-valued seeds times an array as long as their slot count: each
+    point gets its own partials.  A dense (nvars,) gradient broadcast against
+    that array would have scaled slot k by point k's weight instead."""
+    x = dual1_seeds([0.5, 1.5, 2.5])
+    w = np.array([10.0, 20.0, 30.0])
+    z = x[0] * x[1] * w
+    assert z.value.tolist() == (0.75 * w).tolist()
+    assert sorted(z.grad) == [0, 1]
+    assert z.grad[0].tolist() == (1.5 * w).tolist() and z.grad[1].tolist() == (0.5 * w).tolist()
+
+
+def test_the_generated_code_computes_no_structural_zero():
+    """A partial whose slot the walk never fills is the constant zero, and no
+    line computes it.  lc-demo:m3n4's entry code had 92 lines for g and 179
+    for gbar while every seed carried all n slots (55 and 110 with one)."""
+    pair = resolve_pair("lc-demo:m3n4")
+    for metric, all_slots_lines in ((pair.g, 92), (pair.gbar, 179)):
+        fn = compile_value_grad([e for row in metric.upper for e in row], metric.chart.names)
+        lines = max(line for *_, line in fn.__code__.co_lines() if line) - 1  # after the def
+        assert lines < all_slots_lines
 
 
 @pytest.mark.parametrize("src", ["log(x1)", "sqrt(x1)", "x1^0.5", "x1^1.5 + x2"])
@@ -178,18 +317,19 @@ def test_variable_free_entries_have_zero_gradients():
 
 
 def reference_jacobian(fn, xs, xis):
-    """The dual pass written out: 2n Dual1 cells seeded from an identity with
-    one trailing axis per batch axis, then each output's gradient moved to the
-    last axis and broadcast over the batch, a zero row for a plain value."""
+    """The dense dual pass written out: 2n DenseDual cells, then each
+    output's gradient with the derivative axis last, a zero row for a plain
+    value."""
     xs, xis = np.asarray(xs, dtype=float), np.asarray(xis, dtype=float)
     n, batch = xs.shape[-1], xs.shape[:-1]
-    seed = np.eye(2 * n).reshape((2 * n, 2 * n) + (1,) * len(batch)) * np.ones(batch)
-    x_cells = [Dual1(xs[..., i], seed[i]) for i in range(n)]
-    xi_cells = [Dual1(xis[..., i], seed[n + i]) for i in range(n)]
-    rows = [np.broadcast_to(np.moveaxis(out.grad, 0, -1) if isinstance(out, Dual1) else 0.0,
-                            batch + (2 * n,))
-            for out in fn(x_cells, xi_cells)]
-    return np.stack(rows, axis=-2)
+    cells = dense_seeds(np.concatenate([xs, xis], axis=-1))
+    return np.stack([grad_rows(out, 2 * n, batch) for out in fn(cells[:n], cells[n:])], axis=-2)
+
+
+def same_up_to_zero_signs(got, want):
+    """Equal shapes and bytes once -0.0 reads +0.0: where the dense pass
+    computed -0.0 in a slot, the sparse pass may lack the slot."""
+    return got.shape == want.shape and (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def phase_sample(name, count, shape=None):
@@ -200,14 +340,14 @@ def phase_sample(name, count, shape=None):
     return pair, xs, xis
 
 
-@pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "lc-demo:m3n4"])
+@pytest.mark.parametrize("name", PAIRS)
 def test_integrals_jacobian_is_the_reference_dual_pass(name):
     pair, xs, xis = phase_sample(name, 7)
     want = reference_jacobian(
         lambda x, xi: integrals._pipeline(pair, x, xi, range(pair.dim)), xs, xis)
     got = integrals.integrals_jacobian(pair, xs, xis)
     assert got.shape == (7, pair.dim, 2 * pair.dim)
-    assert got.tobytes() == want.tobytes()
+    assert same_up_to_zero_signs(got, want)
 
 
 def test_grad_batch_of_a_constant_is_zero_rows():
@@ -218,10 +358,10 @@ def test_grad_batch_of_a_constant_is_zero_rows():
     assert got.tobytes() == reference_jacobian(lambda x, xi: [2.5], xs, xis)[:, 0].tobytes()
     H = hamiltonian(pair.g)
     want = reference_jacobian(lambda x, xi: [H.fn(x, xi)], xs, xis)[:, 0]
-    assert H.grad_batch(xs, xis).tobytes() == want.tobytes()
+    assert same_up_to_zero_signs(H.grad_batch(xs, xis), want)
 
 
-@pytest.mark.parametrize("name", ["ellipsoid:1,2,3", "lc-demo:m3n4"])
+@pytest.mark.parametrize("name", PAIRS)
 def test_factory_forms_are_the_reference_dual_pass(name):
     pair, xs, xis = phase_sample(name, 6, shape=(2, 3))
     n = pair.dim
@@ -233,10 +373,11 @@ def test_factory_forms_are_the_reference_dual_pass(name):
         upper[..., :n, :n] = dx - dx.swapaxes(-1, -2)
         upper[..., :n, n:] = dxi
         U = np.triu(upper, k=1)
-        return (U - U.swapaxes(-1, -2)).tobytes()
+        return U - U.swapaxes(-1, -2)
 
     omega = factory.omega_g_at(pair.g, xs, xis)
     assert omega.shape == (2, 3, 2 * n, 2 * n)
-    assert omega.tobytes() == form(lambda x, xi: matops.matvec(pair.g.eval_cells(x), xi))
+    g_theta = form(lambda x, xi: matops.matvec(pair.g.eval_cells(x), xi))
+    assert same_up_to_zero_signs(omega, g_theta)
     pulled = factory.pullback_phi_omega(pair, xs, xis)
-    assert pulled.tobytes() == form(factory._pullback_theta(pair))
+    assert same_up_to_zero_signs(pulled, form(factory._pullback_theta(pair)))
