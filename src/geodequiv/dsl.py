@@ -488,6 +488,9 @@ def parse(src: str, names: Sequence[str]) -> Expression:
 # evaluation entry points
 
 
+BLOCK_ROWS = 4096  # points per block of the N-point dual and canonical passes
+
+
 def eval_env(names: Sequence[str], cells: Sequence) -> dict:
     return dict(zip(names, cells))
 
@@ -504,19 +507,28 @@ def dual1_seeds(x) -> list[Dual1]:
 
 def phase_jacobian(fn: Callable, xs, xis) -> np.ndarray:
     """Differentials in (x, xi) of the m outputs of fn(x_cells, xi_cells), by
-    one forward dual pass over phase points xs, xis of shape (..., n).
+    a forward dual pass over phase points xs, xis of shape (..., n).
 
     Returns shape (..., m, 2n), the x slots first; the slots an output's
-    gradient lacks, all of them for a plain value, are zero.
+    gradient lacks, all of them for a plain value, are zero.  The points run
+    in consecutive blocks of BLOCK_ROWS, each filling its rows of the output,
+    so the pass's temporaries do not grow with the number of points; points
+    are independent, so the bits are those of a single pass over them all.
     """
-    cells = dual1_seeds(np.concatenate([xs, xis], axis=-1))
-    n = len(cells) // 2
-    outs = fn(cells[:n], cells[n:])
-    jac = np.zeros(np.shape(xs)[:-1] + (len(outs), 2 * n))
-    for k, out in enumerate(outs):
-        for i, g in (out.grad.items() if isinstance(out, Dual1) else ()):
-            jac[..., k, i] = g
-    return jac
+    z = np.concatenate([xs, xis], axis=-1)
+    rows = z.reshape(-1, z.shape[-1])
+    jac = None
+    for s in range(0, max(len(rows), 1), BLOCK_ROWS):  # one block for no rows
+        b = slice(s, s + BLOCK_ROWS)
+        cells = dual1_seeds(rows[b] if z.ndim > 1 else z)
+        n = len(cells) // 2
+        outs = fn(cells[:n], cells[n:])
+        if jac is None:
+            jac = np.zeros((len(rows), len(outs), 2 * n))
+        for k, out in enumerate(outs):
+            for i, g in (out.grad.items() if isinstance(out, Dual1) else ()):
+                jac[b, k, i] = g
+    return jac.reshape(z.shape[:-1] + jac.shape[1:])
 
 
 # ---------------------------------------------------------------------------

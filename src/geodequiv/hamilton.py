@@ -75,15 +75,22 @@ def canonical_gradients(jac, metric: MetricField, xs, xis):
 
     With p = g(x) xi:  dF/dp = g^{-1} dF/dxi  and
     dF/dx^i|_p = dF/dx^i|_xi - xi^T (d_i g) (g^{-1} dF/dxi).
+
+    The points run in blocks of `dsl.BLOCK_ROWS`, each filling its rows of
+    the outputs, so the metric gradients and the solve do not grow with N;
+    points are independent, so the bits are those of a single pass.
     """
     xs = np.asarray(xs, dtype=float)
     xis = np.asarray(xis, dtype=float)
     n = xs.shape[-1]
-    Fx, Fxi = jac[..., :n], jac[..., n:]
-    gvals, ggrads = metric.values_and_grads(xs)  # (N,n,n), (N,n,n,k)
-    Fp = np.linalg.solve(gvals[:, None], Fxi[..., None])[..., 0]
-    corr = np.einsum("Nj,Njlk,Nml->Nmk", xis, ggrads, Fp)
-    return Fx - corr, Fp
+    Fx = np.empty(jac.shape[:-1] + (n,))
+    Fp = np.empty_like(Fx)
+    for s in range(0, len(xs), dsl.BLOCK_ROWS):
+        b = slice(s, s + dsl.BLOCK_ROWS)
+        gvals, ggrads = metric.values_and_grads(xs[b])  # (B,n,n), (B,n,n,k)
+        Fp[b] = np.linalg.solve(gvals[:, None], jac[b, :, n:, None])[..., 0]
+        Fx[b] = jac[b, :, :n] - np.einsum("Nj,Njlk,Nml->Nmk", xis[b], ggrads, Fp[b])
+    return Fx, Fp
 
 
 def bracket(Fx, Fp, Gx, Gp) -> np.ndarray:

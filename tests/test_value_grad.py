@@ -14,15 +14,18 @@ A missing slot is an exact zero, so the sparse results must equal the dense
 ones up to the sign of an exact zero, except where the dense pass made NaN
 from 0 * inf.  `dsl.phase_jacobian` feeds `integrals_jacobian`,
 `PhaseFunction.grad_batch` and the factory forms; each is compared with the
-dense pass on every pair.
+dense pass on every pair.  It and `canonical_gradients` run the points in
+blocks of `dsl.BLOCK_ROWS` rows, which must give the bits of a single block.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geodequiv import factory, integrals, matops, resolve_pair
-from geodequiv.cli import sample_phase_points
+from geodequiv import dsl, factory, integrals, matops, resolve_pair
+from geodequiv.cli import pair_from_inline, sample_phase_points
 from geodequiv.dsl import (
     Add,
     Call,
@@ -41,7 +44,7 @@ from geodequiv.dsl import (
     scalar_value,
 )
 from geodequiv.geometry import Chart, MetricField
-from geodequiv.hamilton import PhaseFunction, hamiltonian
+from geodequiv.hamilton import PhaseFunction, canonical_gradients, hamiltonian
 
 PAIRS = (
     "sphere",
@@ -381,3 +384,104 @@ def test_factory_forms_are_the_reference_dual_pass(name):
     assert same_up_to_zero_signs(omega, g_theta)
     pulled = factory.pullback_phi_omega(pair, xs, xis)
     assert same_up_to_zero_signs(pulled, form(factory._pullback_theta(pair)))
+
+
+# ---------------------------------------------------------------------------
+# blocks of rows
+
+
+def single_and_blocked(monkeypatch, compute, rows=7):
+    """compute() with every point in one block, then with blocks of `rows`."""
+    monkeypatch.setattr(dsl, "BLOCK_ROWS", 1 << 40)
+    single = compute()
+    monkeypatch.setattr(dsl, "BLOCK_ROWS", rows)
+    return single, compute()
+
+
+def same_bits(got, want):
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_blocks_of_rows_are_the_single_pass(name, monkeypatch):
+    """Three 7-row blocks and a 2-row one give every dual and canonical
+    pass the bits of one block holding all 23 points."""
+    pair, xs, xis = phase_sample(name, 3 * 7 + 2)
+
+    def passes():
+        jac = integrals.integrals_jacobian(pair, xs, xis)
+        return (jac, *canonical_gradients(jac, pair.g, xs, xis),
+                integrals.involution_matrix(jac, pair.g, xs, xis),
+                factory.omega_g_at(pair.g, xs, xis),
+                factory.factory_integrals(pair, xs, xis).coeffs)
+
+    single, blocked = single_and_blocked(monkeypatch, passes)
+    assert same_bits(blocked, single)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_blocks_of_rows_keep_the_batch_shape(name, monkeypatch):
+    """A (2, 5) batch runs as its 10 rows in blocks; an empty batch and a
+    single (n,) point keep their shapes."""
+    pair, xs, xis = phase_sample(name, 10, shape=(2, 5))
+    n = pair.dim
+    empty = np.zeros((0, n))
+
+    def passes():
+        jac0 = integrals.integrals_jacobian(pair, empty, empty)
+        return (integrals.integrals_jacobian(pair, xs, xis),
+                factory.omega_g_at(pair.g, xs, xis),
+                factory.factory_integrals(pair, xs, xis).coeffs,
+                jac0, *canonical_gradients(jac0, pair.g, empty, empty),
+                integrals.integrals_jacobian(pair, xs[1, 2], xis[1, 2]),
+                factory.omega_g_at(pair.g, xs[1, 2], xis[1, 2]))
+
+    single, blocked = single_and_blocked(monkeypatch, passes, rows=3)
+    assert same_bits(blocked, single)
+    shapes = [a.shape for a in blocked]
+    assert shapes == [(2, 5, n, 2 * n), (2, 5, 2 * n, 2 * n), (2, 5, n), (0, n, 2 * n),
+                      (0, n, n), (0, n, n), (n, 2 * n), (2 * n, 2 * n)]
+
+
+LOG_PAIR = {"coordinates": ["x1", "x2"], "box": [[0.5, 1.5], [0.5, 1.5]],
+            "g[1][1]": "2 + log(x1)", "g[2][2]": "1 + sqrt(x2)",
+            "gbar[1][1]": "1", "gbar[2][2]": "1"}
+
+
+def test_a_domain_error_in_the_last_block_is_the_single_pass_error(monkeypatch):
+    """One bad point in the last 7-row block raises what the single pass
+    raised.  Two bad points failing at different operations in different
+    blocks raise the first block's error, which the single pass need not."""
+    pair = pair_from_inline(LOG_PAIR)
+    xs, xis = np.ones((3 * 7 + 2, 2)), np.ones((3 * 7 + 2, 2))
+    xs[-1, 0] = -0.5  # log(x1) fails in the last block
+
+    def message():
+        with pytest.raises(DomainError) as err:
+            integrals.integrals_jacobian(pair, xs, xis)
+        return str(err.value)
+
+    single, blocked = single_and_blocked(monkeypatch, message)
+    assert blocked == single == "domain error in 'log' at argument -0.5"
+    xs[1, 1] = -2.0  # sqrt(x2), evaluated after log(x1), fails in the first block
+    single, blocked = single_and_blocked(monkeypatch, message)
+    assert single == "domain error in 'log' at argument -0.5"
+    assert blocked == "domain error in 'sqrt' at argument -2.0"
+
+
+def test_the_dual_pass_memory_does_not_grow_with_the_points(monkeypatch):
+    """integrals_jacobian's traced peak, less its output, at 8 blocks of
+    rows stays below twice the peak at one block."""
+    monkeypatch.setattr(dsl, "BLOCK_ROWS", 512)
+    pair, xs, xis = phase_sample("lc-demo:m3n4", 8 * 512)
+    integrals.integrals_jacobian(pair, xs[:2], xis[:2])  # first-use set-up
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            jac = integrals.integrals_jacobian(pair, xs[:count], xis[:count])
+            return tracemalloc.get_traced_memory()[1] - jac.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * 512) < 2 * peak(512)
