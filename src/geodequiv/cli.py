@@ -49,10 +49,8 @@ from .hamilton import conservation_drift
 from .integrals import (
     MetricPair,
     eigen_profile,
-    independence_rank,
     integrals_at,
-    integrals_jacobian,
-    involution_matrix,
+    involution_and_rank,
 )
 from .levicivita import build_pair, lcspec_from_json
 from .catalog import battery, resolve_pair
@@ -354,15 +352,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     drift_max = float(np.max([r["drift"] for r in rows]))
 
     xs, xis = sample_phase_points(pair, cfg.points, rng)
-    jac = integrals_jacobian(pair, xs, xis)
-    brackets = involution_matrix(jac, pair.g, xs, xis)
+    brackets, rank = involution_and_rank(pair, xs, xis, cfg.rank_tol)
     offdiag = brackets - np.diag(np.diag(brackets))
     bracket_max = float(np.max(np.abs(offdiag)))
     diag_max = float(np.max(np.abs(np.diag(brackets))))
 
     profiles = [eigen_profile(pair, x) for x in xs[:5]]
     m_required = max(pr.m for pr in profiles)
-    rank = independence_rank(jac, rank_tol=cfg.rank_tol)
 
     checks = [
         _check("conservation", drift_max, cfg.drift_tol),

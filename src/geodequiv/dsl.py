@@ -488,7 +488,13 @@ def parse(src: str, names: Sequence[str]) -> Expression:
 # evaluation entry points
 
 
-BLOCK_ROWS = 4096  # points per block of the N-point dual and canonical passes
+BLOCK_ROWS = 2048  # points per block of every N-point pass over phase points
+
+
+def row_blocks(count: int):
+    """Consecutive slices of BLOCK_ROWS rows that cover count rows."""
+    for s in range(0, count, BLOCK_ROWS):
+        yield slice(s, s + BLOCK_ROWS)
 
 
 def eval_env(names: Sequence[str], cells: Sequence) -> dict:
@@ -518,8 +524,7 @@ def phase_jacobian(fn: Callable, xs, xis) -> np.ndarray:
     z = np.concatenate([xs, xis], axis=-1)
     rows = z.reshape(-1, z.shape[-1])
     jac = None
-    for s in range(0, max(len(rows), 1), BLOCK_ROWS):  # one block for no rows
-        b = slice(s, s + BLOCK_ROWS)
+    for b in row_blocks(max(len(rows), 1)):  # one block for no rows
         cells = dual1_seeds(rows[b] if z.ndim > 1 else z)
         n = len(cells) // 2
         outs = fn(cells[:n], cells[n:])

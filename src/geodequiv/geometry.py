@@ -216,12 +216,15 @@ class MetricField:
     def norm(self, x, xi):
         """|xi|_g at x.  x and xi may carry leading batch axes; a single
         point gives a float.  The quadratic form is a stacked matmul, which
-        matches `xi @ g @ xi` at each point bit for bit."""
+        matches `xi @ g @ xi` at each point bit for bit; it runs in blocks of
+        `dsl.BLOCK_ROWS` points, so its temporaries do not grow with N."""
         x = np.asarray(x, dtype=float)
         n = self.dim
-        g = self.values(x.reshape(-1, n))
+        xs = x.reshape(-1, n)
         v = np.asarray(xi, dtype=float).reshape(-1, 1, n)
-        norms = np.sqrt((v @ g @ v.swapaxes(1, 2))[:, 0, 0])
+        norms = np.empty(len(xs))
+        for b in dsl.row_blocks(len(xs)):
+            norms[b] = np.sqrt((v[b] @ self.values(xs[b]) @ v[b].swapaxes(1, 2))[:, 0, 0])
         return norms.reshape(x.shape[:-1]) if x.ndim > 1 else float(norms[0])
 
 

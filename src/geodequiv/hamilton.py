@@ -85,8 +85,7 @@ def canonical_gradients(jac, metric: MetricField, xs, xis):
     n = xs.shape[-1]
     Fx = np.empty(jac.shape[:-1] + (n,))
     Fp = np.empty_like(Fx)
-    for s in range(0, len(xs), dsl.BLOCK_ROWS):
-        b = slice(s, s + dsl.BLOCK_ROWS)
+    for b in dsl.row_blocks(len(xs)):
         gvals, ggrads = metric.values_and_grads(xs[b])  # (B,n,n), (B,n,n,k)
         Fp[b] = np.linalg.solve(gvals[:, None], jac[b, :, n:, None])[..., 0]
         Fx[b] = jac[b, :, :n] - np.einsum("Nj,Njlk,Nml->Nmk", xis[b], ggrads, Fp[b])

@@ -128,6 +128,7 @@ def _pipeline(pair: MetricPair, x_cells: list, xi_cells: list, ks: Sequence[int]
     n = pair.dim
     gb, Lg, logratio = _weight_data(pair, x_cells)
     G = matops.chol_solve_mat(Lg, gb)
+    del Lg  # its dual cells need not outlive G
     sign = (-1.0) ** n  # c_0: S_k = c_0 N_k
     quads = {}
     for k, (_, N) in enumerate(_faddeev_leverrier(G, max(ks))):
@@ -220,6 +221,19 @@ def transfer_killing(pair: MetricPair, covector: Sequence[Expression]) -> PhaseF
 # involution and independence of a family, from its stacked differentials
 
 
+def involution_and_rank(pair: MetricPair, xs, xis, rank_tol: float) -> tuple[np.ndarray, int]:
+    """involution_matrix and independence_rank of the integrals' (N, n, 2n)
+    differentials, taken block by block of `dsl.BLOCK_ROWS` points and
+    folded by a running maximum, so only the (N, n) points grow with N.
+    Both reductions are exact: the bits are those of the whole stack."""
+    brackets, rank = np.zeros((pair.dim, pair.dim)), 0  # entries are >= 0 or NaN
+    for b in dsl.row_blocks(len(xs)):
+        jac = integrals_jacobian(pair, xs[b], xis[b])
+        brackets = np.maximum(brackets, involution_matrix(jac, pair.g, xs[b], xis[b]))
+        rank = max(rank, independence_rank(jac, rank_tol))
+    return brackets, rank
+
+
 def involution_matrix(jac, metric: MetricField, xs, xis) -> np.ndarray:
     """Normalised pairwise bracket magnitudes, maximised over sample points.
 
@@ -227,6 +241,7 @@ def involution_matrix(jac, metric: MetricField, xs, xis) -> np.ndarray:
     shape (N, m, 2n), as integrals_jacobian gives them.  Entry (j, k) is
     max_p |{F_j, F_k}| / (1 + |dF_j| |dF_k|) with the differential norms
     taken in canonical coordinates.  Diagonal entries are exactly zero.
+    `involution_and_rank` applies it to one block of points at a time.
     """
     Fx, Fp = canonical_gradients(jac, metric, xs, xis)  # (N, m, n) each
     norms = np.sqrt(np.sum(Fx * Fx + Fp * Fp, axis=2))

@@ -14,8 +14,9 @@ A missing slot is an exact zero, so the sparse results must equal the dense
 ones up to the sign of an exact zero, except where the dense pass made NaN
 from 0 * inf.  `dsl.phase_jacobian` feeds `integrals_jacobian`,
 `PhaseFunction.grad_batch` and the factory forms; each is compared with the
-dense pass on every pair.  It and `canonical_gradients` run the points in
-blocks of `dsl.BLOCK_ROWS` rows, which must give the bits of a single block.
+dense pass on every pair.  It, `canonical_gradients`, `MetricField.norm`
+and `verify`'s involution-and-rank stage run the points in blocks of
+`dsl.BLOCK_ROWS` rows, which must give the bits of a single block.
 """
 
 import tracemalloc
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from geodequiv import dsl, factory, integrals, matops, resolve_pair
-from geodequiv.cli import pair_from_inline, sample_phase_points
+from geodequiv.cli import main, pair_from_inline, sample_phase_points
 from geodequiv.dsl import (
     Add,
     Call,
@@ -405,7 +406,7 @@ def same_bits(got, want):
 @pytest.mark.parametrize("name", PAIRS)
 def test_blocks_of_rows_are_the_single_pass(name, monkeypatch):
     """Three 7-row blocks and a 2-row one give every dual and canonical
-    pass the bits of one block holding all 23 points."""
+    pass, and the g-norm, the bits of one block holding all 23 points."""
     pair, xs, xis = phase_sample(name, 3 * 7 + 2)
 
     def passes():
@@ -413,7 +414,8 @@ def test_blocks_of_rows_are_the_single_pass(name, monkeypatch):
         return (jac, *canonical_gradients(jac, pair.g, xs, xis),
                 integrals.involution_matrix(jac, pair.g, xs, xis),
                 factory.omega_g_at(pair.g, xs, xis),
-                factory.factory_integrals(pair, xs, xis).coeffs)
+                factory.factory_integrals(pair, xs, xis).coeffs,
+                pair.g.norm(xs, xis))
 
     single, blocked = single_and_blocked(monkeypatch, passes)
     assert same_bits(blocked, single)
@@ -485,3 +487,49 @@ def test_the_dual_pass_memory_does_not_grow_with_the_points(monkeypatch):
             tracemalloc.stop()
 
     assert peak(8 * 512) < 2 * peak(512)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_the_streamed_stage_is_the_whole_stack(name, monkeypatch):
+    """involution_and_rank over three 7-row blocks and a 2-row one gives the
+    brackets and rank of the whole (23, n, 2n) differential stack."""
+    pair, xs, xis = phase_sample(name, 3 * 7 + 2)
+    jac = integrals.integrals_jacobian(pair, xs, xis)
+    monkeypatch.setattr(dsl, "BLOCK_ROWS", 7)
+    brackets, rank = integrals.involution_and_rank(pair, xs, xis, 1e-8)
+    assert np.array_equal(brackets, integrals.involution_matrix(jac, pair.g, xs, xis))
+    assert rank == integrals.independence_rank(jac, 1e-8)
+
+
+@pytest.mark.parametrize("name", ["lc-demo:m3n4", "ellipsoid:1,2,3"])
+def test_a_verify_report_in_blocks_is_the_single_block_report(name, monkeypatch, capsys):
+    """verify at 23 points prints the same bytes, but for its timestamp,
+    in 7-row blocks as in one block."""
+
+    def report():
+        code = main(["verify", "--pair", name, "--points", "23", "--trajectories", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        return code, [line for line in lines if '"timestamp"' not in line]
+
+    single, blocked = single_and_blocked(monkeypatch, report)
+    assert single[0] == 0
+    assert blocked == single
+
+
+def test_the_involution_and_rank_memory_does_not_grow_with_the_points(monkeypatch):
+    """The streamed stage's traced peak at 16 blocks of rows stays below
+    twice its peak at one block: no (N, n, 2n) stack or (N, n, n) canonical
+    gradients are held whole.  Holding them reads 3.9x."""
+    monkeypatch.setattr(dsl, "BLOCK_ROWS", 512)
+    pair, xs, xis = phase_sample("lc-demo:m3n4", 16 * 512)
+    integrals.involution_and_rank(pair, xs[:2], xis[:2], 1e-8)  # first-use set-up
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            integrals.involution_and_rank(pair, xs[:count], xis[:count], 1e-8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16 * 512) < 2 * peak(512)
