@@ -55,6 +55,9 @@ class Chart:
             raise ValueError("domain factor references undeclared coordinates")
         if self.sample_box is not None and len(self.sample_box) != len(self.names):
             raise ValueError("sample_box must give one interval per coordinate")
+        for lo, hi in self.sample_box or ():
+            if not -np.inf < lo < hi < np.inf:
+                raise ValueError(f"sample_box interval [{lo}, {hi}] must be finite with lo < hi")
 
     @property
     def dim(self) -> int:
@@ -161,17 +164,16 @@ class MetricField:
             i, j = j, i
         return self.upper[i][j - i]
 
-    def eval_cells(self, cells: Sequence) -> np.ndarray:
-        """Evaluate entries over scalar-like coordinate cells.  Both triangles
-        share the same evaluated object, keeping symmetry exact."""
+    def eval_cells(self, cells: Sequence) -> list[list]:
+        """Evaluate entries over scalar-like coordinate cells, as the list of
+        row lists that `matops` takes.  Both triangles share the same
+        evaluated object, keeping symmetry exact."""
         n = self.dim
         env = eval_env(self.chart.names, cells)
-        out = np.empty((n, n), dtype=object)
+        out = [[None] * n for _ in range(n)]
         for i in range(n):
             for k, e in enumerate(self.upper[i]):
-                v = e.evaluate(env)
-                out[i, i + k] = v
-                out[i + k, i] = v
+                out[i][i + k] = out[i + k][i] = e.evaluate(env)
         return out
 
     def values(self, x) -> np.ndarray:

@@ -77,16 +77,16 @@ def char_coeffs(G: np.ndarray) -> np.ndarray:
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
     sign = (-1.0) ** n
-    return np.array([sign * a for a, _ in _faddeev_leverrier(matops.from_cells(G.tolist()), n)])
+    return np.array([sign * a for a, _ in _faddeev_leverrier(G.tolist(), n)])
 
 
-def _faddeev_leverrier(G: np.ndarray, last: int):
+def _faddeev_leverrier(G: list[list], last: int):
     """Yield (a_k, N_k) for k = 0..last, where det(mu E - G) = mu^n + a_1 mu^{n-1}
     + ... + a_n and N_k = G^k + a_1 G^{k-1} + ... + a_k E, so that c_k = c_0 a_k
     and S_k = c_0 N_k.  The trace recursion M_k = G N_{k-1},
     a_k = -tr(M_k) / k, N_k = M_k + a_k E builds both.  Cells may be any
     scalar-like."""
-    N = matops.add_scaled_identity(matops.zeros_obj(G.shape[0]), 1.0)
+    N = [[1.0 if i == j else 0.0 for j in range(len(G))] for i in range(len(G))]
     yield 1.0, N
     for k in range(1, last + 1):
         M = G if k == 1 else matops.matmul(G, N)
@@ -105,9 +105,8 @@ def s_matrix(pair: MetricPair, x, k: int) -> np.ndarray:
     n = pair.dim
     if not 0 <= k <= n - 1:
         raise ValueError("k must lie in 0..n-1")
-    G = matops.from_cells(g_operator(pair, x).tolist())
-    *_, (_, N) = _faddeev_leverrier(G, k)
-    return (-1.0) ** n * np.array(N.tolist(), dtype=float)
+    *_, (_, N) = _faddeev_leverrier(g_operator(pair, x).tolist(), k)
+    return (-1.0) ** n * np.array(N, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -122,19 +122,18 @@ def _mul_expr(a: Expression, b: Expression) -> Expression:
     return Mul(a, b)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LCPair:
     """A fully parsed and validated normal-form pair.
 
     Built through `build_pair`; carries the metric pair plus the phi and block
-    expressions needed for the closed-form integrals.  Equality is identity,
-    since the block grids are arrays.
+    expressions needed for the closed-form integrals.
     """
 
     spec: LCSpec
     chart: Chart
     phi_exprs: tuple[Expression, ...]
-    block_grids: tuple[np.ndarray, ...]
+    block_grids: tuple[tuple[tuple[Expression, ...], ...], ...]
     pair: MetricPair
 
     @property
@@ -156,7 +155,7 @@ class LCPair:
         total = 0.0
         for a in range(size):
             for b in range(size):
-                total = total + grid[a, b].evaluate(env) * (xi_cells[start + a] * xi_cells[start + b])
+                total = total + grid[a][b].evaluate(env) * (xi_cells[start + a] * xi_cells[start + b])
         return total
 
     def linear_integrals(self) -> list[PhaseFunction]:
@@ -236,7 +235,7 @@ def _block_metric(chart: Chart, spans, phi_exprs, block_grids, denoms=None) -> M
         pi_expr = _pi_expr(phi_exprs, i)
         for a in range(size):
             for b in range(a, size):
-                e = _mul_expr(pi_expr, block_grids[i][a, b])
+                e = _mul_expr(pi_expr, block_grids[i][a][b])
                 grid[start + a][start + b] = e if denoms is None else Div(e, denoms[i])
     return MetricField(chart, [[grid[i][j] for j in range(i, n)] for i in range(n)])
 
@@ -279,7 +278,7 @@ def build_pair(spec: LCSpec, pair_id: str = "lc") -> LCPair:
 
     block_grids = []
     for i, (start, size) in enumerate(spans):
-        grid = np.empty((size, size), dtype=object)
+        grid = [[None] * size for _ in range(size)]
         block_names = set(names[start:start + size])
         for a in range(size):
             for b in range(a, size):
@@ -291,9 +290,8 @@ def build_pair(spec: LCSpec, pair_id: str = "lc") -> LCPair:
                         raise ValueError(
                             f"block {i} entry ({a},{b}) may only depend on {sorted(block_names)}"
                         )
-                grid[a, b] = e
-                grid[b, a] = e
-        block_grids.append(grid)
+                grid[a][b] = grid[b][a] = e
+        block_grids.append(tuple(map(tuple, grid)))
 
     g = _block_metric(chart, spans, phi_exprs, block_grids)
     gbar = _shifted_metric(chart, spans, phi_exprs, block_grids, 0.0)
@@ -320,10 +318,12 @@ def lcspec_from_json(doc: dict) -> LCSpec:
     if unknown:
         raise ValueError(f"unknown normal-form config keys: {sorted(unknown)}")
     try:
-        sizes = tuple(int(s) for s in doc["sizes"])
+        sizes = tuple(doc["sizes"])
         phi = tuple(str(p) for p in doc["phi"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"normal-form config needs sizes[] and phi[]: {exc}")
+    if any(type(s) is not int for s in sizes):
+        raise ValueError(f"normal-form config: sizes[] must hold integers, not {list(sizes)}")
     blocks = None
     if doc.get("blocks") is not None:
         grids = []

@@ -178,10 +178,20 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
     ("verify", {}, {"blocks": [5, None]}, "blocks[] must"),
     ("levi-civita-build", None, {"box": [1, 2]}, "box[] must"),
     ("levi-civita-build", None, {"blocks": [5, None]}, "blocks[] must"),
+    ("verify", {}, {"sizes": [1.7, 1]}, "sizes[] must hold integers"),
+    ("levi-civita-build", None, {"sizes": [1.7, 1]}, "sizes[] must hold integers"),
+    ("levi-civita-build", None, {"sizes": [True, 1]}, "sizes[] must hold integers"),
+    ("levi-civita-build", None, {"sizes": ["2"]}, "sizes[] must hold integers"),
+    ("verify", {"pair": {"coordinates": ["u", "v"], "box": [[1, -1], [-1, 1]], "g[1][1]": "1",
+                         "g[2][2]": "1", "gbar[1][1]": "1", "gbar[2][2]": "1"}},
+     {}, "sample_box interval [1.0, -1.0] must be finite with lo < hi"),
+    ("levi-civita-build", None, {"box": [[float("nan"), 1], [-1, 1]]},
+     "sample_box interval [nan, 1.0] must be finite with lo < hi"),
 ], ids=["points", "trajectories", "seed", "t_end", "drift_tol", "out", "out-empty",
         "out-missing-dir", "out-dir", "geodesic-out-empty", "geodesic-out-file",
         "geodesic-out-below-file", "inline-box", "lc-box", "lc-blocks", "build-box",
-        "build-blocks"])
+        "build-blocks", "lc-sizes-float", "build-sizes-float", "build-sizes-bool",
+        "build-sizes-str", "inline-box-reversed", "build-box-nan"])
 def test_malformed_config_is_a_config_error(capsys, monkeypatch, tmp_path, command, run, spec,
                                             message):
     """Each is refused with exit 2 before any geodesic is integrated; relative

@@ -99,6 +99,13 @@ def test_chart_rejects_bare_domain_expression():
         Chart(("u", "v"), domain=parse("1 - u^2 - v^2", ("u", "v")))
 
 
+@pytest.mark.parametrize("interval", [(np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf),
+                                      (1.0, -1.0), (0.5, 0.5)])
+def test_chart_rejects_a_sample_box_interval_not_finite_or_empty(interval):
+    with pytest.raises(ValueError, match="must be finite with lo < hi"):
+        Chart(("u", "v"), sample_box=((-1.0, 1.0), interval))
+
+
 def test_box_points_respect_domain():
     chart = Chart(("u", "v"), domain=(parse("1 - u^2 - v^2", ("u", "v")),),
                   sample_box=((-0.99, 0.99), (-0.99, 0.99)))

@@ -144,8 +144,8 @@ def tree_walk(metric, xs, seeds=dual1_seeds):
     grads = np.zeros((N, n, n, n))
     for i in range(n):
         for j in range(n):
-            vals[:, i, j] = np.broadcast_to(np.asarray(scalar_value(cells[i, j])), (N,))
-            grads[:, i, j, :] = grad_rows(cells[i, j], n, (N,))
+            vals[:, i, j] = np.broadcast_to(np.asarray(scalar_value(cells[i][j])), (N,))
+            grads[:, i, j, :] = grad_rows(cells[i][j], n, (N,))
     if squeeze:
         return vals[0], grads[0]
     return vals, grads
