@@ -4,6 +4,9 @@ module and the unit modules share one set of integrations."""
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -13,6 +16,7 @@ from geodequiv import (
     integrate_geodesic,
     resolve_pair,
 )
+from geodequiv.dsl import Add, Expression, Lit, Mul, Var
 from geodequiv.catalog import battery
 from geodequiv.cli import sample_phase_points
 from geodequiv.levicivita import build_pair
@@ -75,6 +79,43 @@ def phase_sets(equiv_pairs):
         rng = np.random.default_rng(PHASE_SEED)
         out[name] = sample_phase_points(pair, 100, rng)
     return out
+
+
+def substitute(e: Expression, env: dict) -> Expression:
+    """e with every variable replaced by its expression in env."""
+    if isinstance(e, Var):
+        return env[e.name]
+    kids = {f.name: substitute(getattr(e, f.name), env) for f in fields(e)
+            if isinstance(getattr(e, f.name), Expression)}
+    return replace(e, **kids) if kids else e
+
+
+def dense_pullback(name: str, seed: int = 7) -> tuple[dict, np.ndarray]:
+    """The catalog pair `name` under the linear change of coordinates
+    x = A y, A = I + 0.25 R with R standard normal, as an inline pair
+    document, and A.
+
+    Both metrics become dense: g'_ij(y) = sum_ab A_ai A_bj g_ab(A y), written
+    through the expression printer.  The sample box [-s, s]^n, with
+    s = 1 / max_i sum_j |A_ij|, maps into the catalog's [-1, 1]^n.  The
+    operator G of the pair becomes A^-1 G A, which does not commute with the
+    pulled-back gbar, unlike on every catalog pair.
+    """
+    pair = resolve_pair(name)
+    n = pair.dim
+    A = np.eye(n) + 0.25 * np.random.default_rng(seed).standard_normal((n, n))
+    s = float(1.0 / np.max(np.sum(np.abs(A), axis=1)))
+    ys = [f"y{i + 1}" for i in range(n)]
+    env = {x: reduce(Add, [Mul(Lit(float(A[a, b])), Var(y)) for b, y in enumerate(ys)])
+           for a, x in enumerate(pair.chart.names)}
+    doc = {"id": f"dense:{name}", "coordinates": ys, "box": [[-s, s]] * n}
+    for tag, metric in (("g", pair.g), ("gbar", pair.gbar)):
+        for i in range(n):
+            for j in range(i, n):
+                terms = [Mul(Lit(float(A[a, i] * A[b, j])), substitute(metric.entry(a, b), env))
+                         for a in range(n) for b in range(n) if metric.entry(a, b) != Lit(0.0)]
+                doc[f"{tag}[{i + 1}][{j + 1}]"] = str(reduce(Add, terms))
+    return doc, A
 
 
 def report_line(ok: bool, label: str, detail: str) -> None:
