@@ -164,17 +164,18 @@ def pair_from_inline(doc: dict) -> MetricPair:
     bad = [k for k in unknown if not (k.startswith("g[") or k.startswith("gbar["))]
     if bad:
         raise ConfigError(f"inline pair: unknown keys {sorted(bad)}")
-    try:
-        names = tuple(str(c) for c in doc["coordinates"])
-    except (KeyError, TypeError):
-        raise ConfigError('inline pair needs a "coordinates" list')
-    if doc.get("box") is not None:
-        try:
-            box = tuple((float(lo), float(hi)) for lo, hi in doc["box"])
-        except (TypeError, ValueError):
-            raise ConfigError('inline pair: "box" must be a list of [lo, hi] pairs')
-    else:
-        box = tuple((-1.0, 1.0) for _ in names)
+    names = doc.get("coordinates")
+    if type(names) is not list or not all(type(c) is str for c in names):
+        raise ConfigError(f'inline pair needs a "coordinates" list of names, not {names!r}')
+    names = tuple(names)
+    box = doc.get("box")
+    if box is None:
+        box = [[-1.0, 1.0]] * len(names)
+    # bool is a subclass of int, so the types are compared exactly
+    if type(box) is not list or not all(type(b) is list and len(b) == 2 and
+                                        all(type(v) in (int, float) for v in b) for b in box):
+        raise ConfigError(f'inline pair: "box" must be a list of [lo, hi] number pairs, not {box!r}')
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
     domain = None
     if doc.get("domain") is not None:
         domain = (parse(str(doc["domain"]), names),)
@@ -184,7 +185,7 @@ def pair_from_inline(doc: dict) -> MetricPair:
 
     def grid_for(prefix: str) -> list[list[str]]:
         grid = [["0"] * n for _ in range(n)]
-        seen = False
+        keys = {}  # the key that set each entry of the upper triangle
         for key, src in doc.items():
             if not key.startswith(prefix + "["):
                 continue
@@ -194,10 +195,11 @@ def pair_from_inline(doc: dict) -> MetricPair:
                 raise ConfigError(f"inline pair: malformed metric key {key!r}")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ConfigError(f"inline pair: index out of range in {key!r}")
-            grid[i - 1][j - 1] = str(src)
-            grid[j - 1][i - 1] = str(src)
-            seen = True
-        if not seen:
+            other = keys.setdefault((min(i, j), max(i, j)), key)
+            if other != key and grid[i - 1][j - 1] != str(src):
+                raise ConfigError(f"inline pair: {other!r} and {key!r} give different entries")
+            grid[i - 1][j - 1] = grid[j - 1][i - 1] = str(src)
+        if not keys:
             raise ConfigError(f'inline pair: no "{prefix}[i][j]" entries found')
         return grid
 

@@ -48,6 +48,10 @@ class Chart:
             raise ValueError("chart needs at least one coordinate")
         if len(set(self.names)) != len(self.names):
             raise ValueError("chart coordinate names must be distinct")
+        for name in self.names:
+            # the ASCII Python identifiers are the DSL's, [A-Za-z_][A-Za-z_0-9]*
+            if not (type(name) is str and name.isascii() and name.isidentifier()):
+                raise ValueError(f"chart coordinate name {name!r} is not an identifier")
         if self.domain is not None and not isinstance(self.domain, tuple):
             raise ValueError("chart domain must be a tuple of factor expressions")
         if self.domain is not None and not all(f.variables() <= set(self.names)
@@ -239,33 +243,21 @@ def _failing_minor(vals: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Christoffel symbols and geodesics
-
-
-def christoffel(metric: MetricField, x) -> np.ndarray:
-    """Gamma[k, i, j] = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
-    # grads[..., i, j, k] = d_k g_{ij}
-    vals, grads = metric.values_and_grads(np.asarray(x, dtype=float))
-    # Build source S[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
-    di_gjl = np.einsum("...jli->...lij", grads)
-    dj_gil = np.einsum("...ilj->...lij", grads)
-    dl_gij = np.einsum("...ijl->...lij", grads)
-    S = di_gjl + dj_gil - dl_gij
-    n = vals.shape[-1]
-    flat = S.reshape(S.shape[:-2] + (n * n,))
-    sol = np.linalg.solve(vals, flat)
-    return 0.5 * sol.reshape(S.shape)
+# geodesics
 
 
 def geodesic_rhs(t, y: np.ndarray, metric: MetricField) -> np.ndarray:
-    """The geodesic flow on the state y = (x, xi): (xi, -Gamma(x)(xi, xi)).
-    y may be a (k, 2n) stack of states, giving one row each, bit for bit the
-    single-state values: the stacked contraction must be this einsum."""
+    """The geodesic flow on the state y = (x, xi): (xi, -g^{-1} w), where
+    w = Gamma(xi, xi) lowered = W xi - 1/2 W^T xi with W = d(g xi)/dx, so xi
+    is contracted into the metric gradients before one solve.  y may be a
+    (k, 2n) stack of states, giving one row each, bit for bit the
+    single-state values."""
     n = metric.dim
     xi = y[..., n:]
-    gamma = christoffel(metric, y[..., :n])
-    spec = "kij,i,j->k" if y.ndim == 1 else "nkij,ni,nj->nk"
-    return np.concatenate([xi, -np.einsum(spec, gamma, xi, xi)], axis=-1)
+    vals, grads = metric.values_and_grads(y[..., :n])
+    W = (xi[..., None, None, :] @ grads)[..., 0, :]  # W[l, k] = d_k g_lj xi^j
+    w = (W @ xi[..., None])[..., 0] - 0.5 * (xi[..., None, :] @ W)[..., 0, :]
+    return np.concatenate([xi, -np.linalg.solve(vals, w[..., None])[..., 0]], axis=-1)
 
 
 @dataclass

@@ -73,8 +73,8 @@ def canonical_gradients(jac, metric: MetricField, xs, xis):
     """Batched (dF/dx|_p, dF/dp) of a family of phase functions, each of shape
     (N, m, n), from its (N, m, 2n) differentials in (x, xi) coordinates.
 
-    With p = g(x) xi:  dF/dp = g^{-1} dF/dxi  and
-    dF/dx^i|_p = dF/dx^i|_xi - xi^T (d_i g) (g^{-1} dF/dxi).
+    With p = g(x) xi and W = d(g xi)/dx:  dF/dp = g^{-1} dF/dxi  and
+    dF/dx|_p = dF/dx|_xi - W^T dF/dp, one solve per point for all m.
 
     The points run in blocks of `dsl.BLOCK_ROWS`, each filling its rows of
     the outputs, so the metric gradients and the solve do not grow with N;
@@ -87,8 +87,9 @@ def canonical_gradients(jac, metric: MetricField, xs, xis):
     Fp = np.empty_like(Fx)
     for b in dsl.row_blocks(len(xs)):
         gvals, ggrads = metric.values_and_grads(xs[b])  # (B,n,n), (B,n,n,k)
-        Fp[b] = np.linalg.solve(gvals[:, None], jac[b, :, n:, None])[..., 0]
-        Fx[b] = jac[b, :, :n] - np.einsum("Nj,Njlk,Nml->Nmk", xis[b], ggrads, Fp[b])
+        W = (xis[b, None, None, :] @ ggrads)[:, :, 0]  # W[l, k] = d_k g_lj xi^j
+        Fp[b] = np.linalg.solve(gvals, jac[b, :, n:].swapaxes(1, 2)).swapaxes(1, 2)
+        Fx[b] = jac[b, :, :n] - Fp[b] @ W
     return Fx, Fp
 
 

@@ -40,6 +40,22 @@ EQUIV_PAIR_NAMES = (
     "lc-demo:m3n4",
 )
 
+# every catalog pair: each block of dual and canonical passes, and the
+# geodesic right-hand side, is checked on all of them
+PAIRS = (
+    "sphere",
+    "euclidean:3",
+    "ellipsoid:1,2,3",
+    "ellipsoid:1,2,3,4",
+    "lc-demo:m1n2",
+    "lc-demo:m2n2",
+    "lc-demo:m2n3",
+    "lc-demo:m3n3",
+    "lc-demo:m3n4",
+    "falsify:perturbed-lc",
+    "falsify:random-conformal",
+)
+
 GEODESIC_SEED = 101
 PHASE_SEED = 202
 T_END = 5.0

@@ -158,6 +158,10 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
     assert check["value"] is None and check["pass"] is False
 
 
+UNIT_PAIR = {"coordinates": ["u", "v"], "g[1][1]": "1", "g[2][2]": "1",
+             "gbar[1][1]": "1", "gbar[2][2]": "1"}
+
+
 @pytest.mark.parametrize("command, run, spec, message", [
     ("verify", {"points": 1.5}, {}, "points must be an integer"),
     ("verify", {"trajectories": 1.5}, {}, "trajectories must be an integer"),
@@ -187,11 +191,19 @@ def test_nan_drift_row_fails_conservation(capsys, tmp_path):
      {}, "sample_box interval [1.0, -1.0] must be finite with lo < hi"),
     ("levi-civita-build", None, {"box": [[float("nan"), 1], [-1, 1]]},
      "sample_box interval [nan, 1.0] must be finite with lo < hi"),
+    ("verify", {"pair": {**UNIT_PAIR, "g[1][2]": "0.5", "g[2][1]": "-0.5"}},
+     {}, "'g[1][2]' and 'g[2][1]' give different entries"),
+    ("verify", {"pair": {**UNIT_PAIR, "coordinates": "uv"}}, {}, '"coordinates" list'),
+    ("verify", {"pair": {**UNIT_PAIR, "coordinates": [1, 2]}}, {}, '"coordinates" list'),
+    ("verify", {"pair": {**UNIT_PAIR, "box": [["0", "1"], ["0", "1"]]}}, {}, '"box" must'),
+    ("verify", {"pair": {**UNIT_PAIR, "box": [[True, 2], [-1, 1]]}}, {}, '"box" must'),
 ], ids=["points", "trajectories", "seed", "t_end", "drift_tol", "out", "out-empty",
         "out-missing-dir", "out-dir", "geodesic-out-empty", "geodesic-out-file",
         "geodesic-out-below-file", "inline-box", "lc-box", "lc-blocks", "build-box",
         "build-blocks", "lc-sizes-float", "build-sizes-float", "build-sizes-bool",
-        "build-sizes-str", "inline-box-reversed", "build-box-nan"])
+        "build-sizes-str", "inline-box-reversed", "build-box-nan", "inline-conflicting-entries",
+        "inline-coordinates-str", "inline-coordinates-int", "inline-box-str",
+        "inline-box-bool"])
 def test_malformed_config_is_a_config_error(capsys, monkeypatch, tmp_path, command, run, spec,
                                             message):
     """Each is refused with exit 2 before any geodesic is integrated; relative
@@ -385,6 +397,15 @@ def test_inline_pair_errors():
         pair_from_inline({"coordinates": ["u"], "g[1][1]": "u +", "gbar[1][1]": "1"})
     with pytest.raises(ConfigError):
         pair_from_inline({"coordinates": ["u"], "g[1][1]": "1", "gbar[1][1]": "1", "x": 0})
+
+
+def test_inline_pair_takes_an_entry_from_either_triangle():
+    """One triangle alone, or both with the same text, give the same pair."""
+    upper = pair_from_inline({**UNIT_PAIR, "g[1][2]": "0.5*u"})
+    lower = pair_from_inline({**UNIT_PAIR, "g[2][1]": "0.5*u"})
+    both = pair_from_inline({**UNIT_PAIR, "g[1][2]": "0.5*u", "g[2][1]": "0.5*u"})
+    x = [0.3, -0.2]
+    assert upper.g.values(x)[0, 1] == lower.g.values(x)[1, 0] == both.g.values(x)[0, 1] == 0.15
 
 
 def test_verify_inline_pair_via_config(capsys, tmp_path):

@@ -1,7 +1,8 @@
-"""Charts, metric fields, connection coefficients, geodesics and curve
-comparison.  Connection coefficients are checked against a finite-difference
-route through the metric entries, and the integrator against closed-form
-geodesics (straight lines, great circles)."""
+"""Charts, metric fields, the geodesic right-hand side, geodesics and curve
+comparison.  The connection coefficients that the right-hand side contracts
+are read off it and checked against a finite-difference route through the
+metric entries, and the integrator against closed-form geodesics (straight
+lines, great circles)."""
 
 import json
 import re
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import PAIRS, dense_pullback
 from geodequiv import resolve_pair
-from geodequiv.cli import sample_phase_points
+from geodequiv.cli import pair_from_inline, sample_phase_points
 from geodequiv.dsl import parse
 from geodequiv.geometry import (
     Chart,
@@ -25,7 +27,6 @@ from geodequiv.geometry import (
     arc_steps,
     arclength_reparam,
     check_phase_points,
-    christoffel,
     curve_distance,
     geodesic_coincidence,
     geodesic_rhs,
@@ -106,6 +107,13 @@ def test_chart_rejects_a_sample_box_interval_not_finite_or_empty(interval):
         Chart(("u", "v"), sample_box=((-1.0, 1.0), interval))
 
 
+@pytest.mark.parametrize("name", ["1", "x y", "x-1", "\u00e9", "", 1],
+                         ids=["digit", "space", "minus", "non-ascii", "empty", "int"])
+def test_chart_rejects_a_coordinate_name_that_is_not_an_identifier(name):
+    with pytest.raises(ValueError, match="is not an identifier"):
+        Chart(("u", name))
+
+
 def test_box_points_respect_domain():
     chart = Chart(("u", "v"), domain=(parse("1 - u^2 - v^2", ("u", "v")),),
                   sample_box=((-0.99, 0.99), (-0.99, 0.99)))
@@ -165,31 +173,57 @@ def test_norm_is_sqrt_of_quadratic_form():
 
 
 # ---------------------------------------------------------------------------
-# connection coefficients
+# the geodesic right-hand side
 
 
-def test_christoffel_vanishes_for_constant_metric():
-    gamma = christoffel(euclid_metric(3), [0.1, 0.2, 0.3])
-    assert np.array_equal(gamma, np.zeros((3, 3, 3)))
+def connection(metric, x):
+    """Gamma[k, i, j] at x, read off the accelerations a(xi) = -Gamma(xi, xi)
+    of `geodesic_rhs` by polarization."""
+    n = metric.dim
+    e = np.eye(n)
+
+    def a(v):
+        return geodesic_rhs(0.0, np.concatenate([x, v]), metric)[n:]
+
+    return -0.5 * np.array([[a(e[i] + e[j]) - a(e[i]) - a(e[j]) for j in range(n)]
+                            for i in range(n)]).transpose(2, 0, 1)
 
 
-def test_christoffel_polar_like_metric():
+def christoffel_reference(metric, xs):
+    """The contraction the right-hand side replaced: the whole
+    Gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) per point,
+    solved against n^2 right-hand sides, then contracted with xi twice."""
+    n = metric.dim
+    vals, grads = metric.values_and_grads(xs)
+    S = (np.einsum("...jli->...lij", grads) + np.einsum("...ilj->...lij", grads)
+         - np.einsum("...ijl->...lij", grads))
+    flat = np.linalg.solve(vals, S.reshape(S.shape[:-2] + (n * n,)))
+    return 0.5 * flat.reshape(S.shape)
+
+
+def test_geodesic_acceleration_vanishes_for_constant_metric():
+    y = np.array([0.1, 0.2, 0.3, 0.7, -0.4, 1.1])
+    assert np.array_equal(geodesic_rhs(0.0, y, euclid_metric(3))[3:], np.zeros(3))
+    assert np.array_equal(connection(euclid_metric(3), y[:3]), np.zeros((3, 3, 3)))
+
+
+def test_geodesic_acceleration_polar_like_metric():
     chart = euclidean_chart(2)
     g = metric_from(chart, [["1", "0"], ["0", "x1^2"]])
-    gamma = christoffel(g, [2.0, 0.7])
+    gamma = connection(g, np.array([2.0, 0.7]))
     assert gamma[0, 1, 1] == pytest.approx(-2.0, rel=1e-12)
     assert gamma[1, 0, 1] == pytest.approx(0.5, rel=1e-12)
     assert gamma[1, 1, 0] == pytest.approx(0.5, rel=1e-12)
 
 
-def test_christoffel_round_sphere_at_quarter_turn():
+def test_geodesic_acceleration_round_sphere_at_quarter_turn():
     g = sphere_metric()
-    gamma = christoffel(g, [np.pi / 4, 0.3])
+    gamma = connection(g, np.array([np.pi / 4, 0.3]))
     assert gamma[0, 1, 1] == pytest.approx(-0.5, rel=1e-12)  # -sin(th)cos(th)
     assert gamma[1, 0, 1] == pytest.approx(1.0, rel=1e-12)  # cot(th)
 
 
-def test_christoffel_matches_finite_difference_route():
+def test_geodesic_acceleration_matches_finite_difference_route():
     """Independent route: difference the metric values themselves and apply
     the formula Gamma^k_{ij} = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)."""
     chart = euclidean_chart(2)
@@ -210,7 +244,7 @@ def test_christoffel_matches_finite_difference_route():
                 want[k, i, j] = 0.5 * sum(
                     ginv[k, l] * (dg[j, l, i] + dg[i, l, j] - dg[i, j, l]) for l in range(n)
                 )
-    assert np.allclose(christoffel(g, x), want, rtol=1e-6, atol=1e-7)
+    assert np.allclose(connection(g, x), want, rtol=1e-6, atol=1e-7)
 
 
 def test_geodesic_rhs_shapes():
@@ -219,12 +253,27 @@ def test_geodesic_rhs_shapes():
     dy = geodesic_rhs(0.0, np.concatenate([x, xi]), g)
     assert dy.shape == (4,)
     assert np.array_equal(dy[:2], xi)
-    assert np.array_equal(dy[2:], -np.einsum("kij,i,j->k", christoffel(g, x), xi, xi))
     # a stack of states gives each state's row, bit for bit
     states = np.random.default_rng(2).uniform(0.3, 1.2, (6, 4))
     stacked = geodesic_rhs(np.zeros(6), states, g)
     assert stacked.shape == (6, 4)
     assert stacked.tobytes() == np.array([geodesic_rhs(0.0, y, g) for y in states]).tobytes()
+
+
+@pytest.mark.parametrize("name", PAIRS + tuple(f"dense:{p}" for p in (
+    "lc-demo:m2n2", "lc-demo:m2n3", "lc-demo:m3n4", "falsify:perturbed-lc")))
+def test_geodesic_rhs_is_the_christoffel_contraction(name):
+    """The contracted right-hand side agrees with -Gamma(xi, xi) from the
+    whole Christoffel tensor to rounding, on g and gbar of every catalog pair
+    and of dense pullbacks, whose gradients have no zero pattern."""
+    dense = name.startswith("dense:")
+    pair = pair_from_inline(dense_pullback(name[6:])[0]) if dense else resolve_pair(name)
+    n = pair.dim
+    xs, xis = sample_phase_points(pair, 20, np.random.default_rng(8))
+    for metric in (pair.g, pair.gbar):
+        got = geodesic_rhs(0.0, np.concatenate([xs, xis], axis=1), metric)[:, n:]
+        want = -np.einsum("Nkij,Ni,Nj->Nk", christoffel_reference(metric, xs), xis, xis)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300), name
 
 
 # ---------------------------------------------------------------------------

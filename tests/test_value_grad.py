@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import PAIRS
 from geodequiv import dsl, factory, integrals, matops, resolve_pair
 from geodequiv.cli import main, pair_from_inline, sample_phase_points
 from geodequiv.dsl import (
@@ -46,20 +47,6 @@ from geodequiv.dsl import (
 )
 from geodequiv.geometry import Chart, MetricField
 from geodequiv.hamilton import PhaseFunction, canonical_gradients, hamiltonian
-
-PAIRS = (
-    "sphere",
-    "euclidean:3",
-    "ellipsoid:1,2,3",
-    "ellipsoid:1,2,3,4",
-    "lc-demo:m1n2",
-    "lc-demo:m2n2",
-    "lc-demo:m2n3",
-    "lc-demo:m3n3",
-    "lc-demo:m3n4",
-    "falsify:perturbed-lc",
-    "falsify:random-conformal",
-)
 
 
 class DenseDual(Dual1):
