@@ -16,9 +16,9 @@ from geodequiv import (
     integrate_geodesic,
     resolve_pair,
 )
-from geodequiv.dsl import Add, Expression, Lit, Mul, Var
 from geodequiv.catalog import battery
 from geodequiv.cli import sample_phase_points
+from geodequiv.dsl import Add, Expression, Lit, Mul, Var
 from geodequiv.levicivita import build_pair
 
 settings.register_profile(
