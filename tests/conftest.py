@@ -17,7 +17,7 @@ from geodequiv import (
     resolve_pair,
 )
 from geodequiv.catalog import battery
-from geodequiv.cli import sample_phase_points
+from geodequiv.cli import pair_from_inline, sample_phase_points
 from geodequiv.dsl import Add, Expression, Lit, Mul, Var
 from geodequiv.levicivita import build_pair
 
@@ -132,6 +132,18 @@ def dense_pullback(name: str, seed: int = 7) -> tuple[dict, np.ndarray]:
                          for a in range(n) for b in range(n) if metric.entry(a, b) != Lit(0.0)]
                 doc[f"{tag}[{i + 1}][{j + 1}]"] = str(reduce(Add, terms))
     return doc, A
+
+
+# the dense pullbacks that the contraction checks run on besides PAIRS
+DENSE_PAIRS = tuple(f"dense:{name}" for name in (
+    "lc-demo:m2n2", "lc-demo:m2n3", "lc-demo:m3n4", "falsify:perturbed-lc"))
+
+
+def resolve_test_pair(name: str):
+    """A catalog pair, or for "dense:<catalog name>" its dense pullback."""
+    if name.startswith("dense:"):
+        return pair_from_inline(dense_pullback(name[len("dense:"):])[0])
+    return resolve_pair(name)
 
 
 def report_line(ok: bool, label: str, detail: str) -> None:

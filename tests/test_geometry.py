@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import PAIRS, dense_pullback
+from conftest import DENSE_PAIRS, PAIRS, resolve_test_pair
 from geodequiv import resolve_pair
-from geodequiv.cli import pair_from_inline, sample_phase_points
+from geodequiv.cli import sample_phase_points
 from geodequiv.dsl import parse
 from geodequiv.geometry import (
     Chart,
@@ -190,9 +190,10 @@ def connection(metric, x):
 
 
 def christoffel_reference(metric, xs):
-    """The contraction the right-hand side replaced: the whole
+    """The tensor the right-hand side no longer builds: the whole
     Gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) per point,
-    solved against n^2 right-hand sides, then contracted with xi twice."""
+    solved against n^2 right-hand sides.  The right-hand side used to
+    contract it with xi twice."""
     n = metric.dim
     vals, grads = metric.values_and_grads(xs)
     S = (np.einsum("...jli->...lij", grads) + np.einsum("...ilj->...lij", grads)
@@ -260,14 +261,12 @@ def test_geodesic_rhs_shapes():
     assert stacked.tobytes() == np.array([geodesic_rhs(0.0, y, g) for y in states]).tobytes()
 
 
-@pytest.mark.parametrize("name", PAIRS + tuple(f"dense:{p}" for p in (
-    "lc-demo:m2n2", "lc-demo:m2n3", "lc-demo:m3n4", "falsify:perturbed-lc")))
+@pytest.mark.parametrize("name", PAIRS + DENSE_PAIRS)
 def test_geodesic_rhs_is_the_christoffel_contraction(name):
     """The contracted right-hand side agrees with -Gamma(xi, xi) from the
     whole Christoffel tensor to rounding, on g and gbar of every catalog pair
     and of dense pullbacks, whose gradients have no zero pattern."""
-    dense = name.startswith("dense:")
-    pair = pair_from_inline(dense_pullback(name[6:])[0]) if dense else resolve_pair(name)
+    pair = resolve_test_pair(name)
     n = pair.dim
     xs, xis = sample_phase_points(pair, 20, np.random.default_rng(8))
     for metric in (pair.g, pair.gbar):
