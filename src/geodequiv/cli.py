@@ -176,10 +176,10 @@ def pair_from_inline(doc: dict) -> MetricPair:
                                         all(type(v) in (int, float) for v in b) for b in box):
         raise ConfigError(f'inline pair: "box" must be a list of [lo, hi] number pairs, not {box!r}')
     box = tuple((float(lo), float(hi)) for lo, hi in box)
-    domain = None
-    if doc.get("domain") is not None:
-        domain = (parse(str(doc["domain"]), names),)
-    chart = Chart(names, domain=domain, sample_box=box)
+    domain = doc.get("domain")
+    if domain is not None and type(domain) is not str:
+        raise ConfigError(f'inline pair: "domain" must be a string or null, not {domain!r}')
+    chart = Chart(names, domain=None if domain is None else (parse(domain, names),), sample_box=box)
 
     n = len(names)
 
@@ -195,10 +195,12 @@ def pair_from_inline(doc: dict) -> MetricPair:
                 raise ConfigError(f"inline pair: malformed metric key {key!r}")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ConfigError(f"inline pair: index out of range in {key!r}")
+            if type(src) is not str:
+                raise ConfigError(f"inline pair: {key!r} must be an expression string, not {src!r}")
             other = keys.setdefault((min(i, j), max(i, j)), key)
-            if other != key and grid[i - 1][j - 1] != str(src):
+            if other != key and grid[i - 1][j - 1] != src:
                 raise ConfigError(f"inline pair: {other!r} and {key!r} give different entries")
-            grid[i - 1][j - 1] = grid[j - 1][i - 1] = str(src)
+            grid[i - 1][j - 1] = grid[j - 1][i - 1] = src
         if not keys:
             raise ConfigError(f'inline pair: no "{prefix}[i][j]" entries found')
         return grid

@@ -221,6 +221,10 @@ def _par(e: Expression, prec: int) -> str:
 class Lit(Expression):
     value: float
 
+    @property
+    def prec(self):
+        return 3 if np.signbit(self.value) else 5  # a negative literal prints as unary minus
+
     def evaluate(self, env):
         return self.value
 

@@ -181,21 +181,16 @@ def delta_poly(pair: MetricPair, x, xi) -> np.ndarray:
 
     The quotient is a degree-n polynomial in t; it is recovered exactly (up to
     rounding) from n+1 samples at Chebyshev nodes scaled to the root's
-    magnitude, via a Vandermonde solve.  All Pfaffians of a batch are taken
-    as one stack, and the Vandermonde systems are solved as one stack.
+    magnitude, via a Vandermonde solve.  The Pfaffians of the points given,
+    and their Vandermonde systems, are each taken as one stack.
     """
     n = pair.dim
     omega = omega_g_at(pair.g, x, xi)
     pulled = pullback_phi_omega(pair, x, xi)
     radius = 1.0 + np.abs(a_scalar(pair, x, xi))
     nodes = np.multiply.outer(radius, np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2.0 * (n + 1))))
-    # forms[..., 0] is omega_g, forms[..., 1 + j] the pencil at node j
-    forms = np.empty(omega.shape[:-2] + (n + 2,) + omega.shape[-2:])
-    forms[..., 0, :, :] = omega
-    pencil = forms[..., 1:, :, :]
-    np.multiply(nodes[..., None, None], omega[..., None, :, :], out=pencil)
-    np.subtract(pulled[..., None, :, :], pencil, out=pencil)
-    pfs = pfaffian(forms)
+    om = omega[..., None, :, :]  # the stack is omega_g, then the pencil at each node
+    pfs = pfaffian(np.concatenate([om, pulled[..., None, :, :] - nodes[..., None, None] * om], axis=-3))
     pf_omega = pfs[..., :1]
     if np.any(pf_omega == 0.0):
         raise ValueError("canonical form is degenerate at this point")
@@ -242,8 +237,8 @@ def rank_one_delta(mu, A, B, t: float) -> float:
 class FactoryIntegrals:
     """Quotient coefficients delta(t) = Delta(t)/(t - a) plus the division
     remainder; the remainder vanishes exactly when a is a root of Delta.
-    coeffs (delta) and delta (Delta) hold descending powers on the last axis.
-    Batched points give stacked fields."""
+    coeffs (delta) and delta (Delta) hold descending powers on the last axis;
+    batched points stack every field, an (N, n) stack's with one block's bits."""
 
     coeffs: np.ndarray
     remainder: float
@@ -252,7 +247,11 @@ class FactoryIntegrals:
 
 
 def factory_integrals(pair: MetricPair, x, xi) -> FactoryIntegrals:
-    delta = delta_poly(pair, x, xi)
+    """The quotient at a point or a batch.  An (N, n) stack runs `delta_poly`
+    in blocks of `dsl.BLOCK_ROWS` points, so no form or pencil stack grows with
+    N; the bits are those of one block, and the first failing block raises."""
+    delta = (np.concatenate([delta_poly(pair, x[b], xi[b]) for b in dsl.row_blocks(max(len(x), 1))])
+             if np.ndim(x) == 2 else delta_poly(pair, x, xi))
     a = a_scalar(pair, x, xi)
     q, rem = horner_divide(delta, a)
     return FactoryIntegrals(q, rem, a, delta)

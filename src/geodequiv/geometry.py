@@ -497,8 +497,8 @@ def geodesic_coincidence(g: MetricField, gbar: MetricField, xs, xis, length: flo
 
     Each metric's curves of all directions are one lockstep integration.
     Unit gbar-speed does not cover g-arc-length at unit rate, so each of at
-    most 8 retry passes integrates the gbar curves still inside the chart
-    and short of `length` again in one call, each over its own grown span.
+    most 8 passes after the first integrates the gbar curves still inside the
+    chart and short of `length` again in one call, each over its own grown span.
     The search raises the first error of its g curves, then of its gbar
     curves, then of each pass, so it may name a later direction than a
     search per direction would.
@@ -510,19 +510,16 @@ def geodesic_coincidence(g: MetricField, gbar: MetricField, xs, xis, length: flo
     opts = GeodesicOptions(tol=1e-8, samples=3001, energy_tol=1e-5)
     tgs = integrate_geodesic(g, xs, xis / g.norm(xs, xis)[:, None], length, opts)
     vbs = xis / gbar.norm(xs, xis)[:, None]
-    t_end = np.full(len(xs), float(length))
-    tbs = integrate_geodesic(gbar, xs, vbs, t_end, opts)
-    bsteps = [arc_steps(tb, g) for tb in tbs]
-    covered = np.array([np.sum(s) for s in bsteps])
-    for _ in range(8):
+    t_end, covered = np.full(len(xs), float(length)), np.zeros(len(xs))
+    tbs, bsteps, short = [None] * len(xs), [None] * len(xs), list(range(len(xs)))
+    for _ in range(9):  # the first pass, then at most 8 retries
+        for k, tb in zip(short, integrate_geodesic(gbar, xs[short], vbs[short], t_end[short], opts)):
+            tbs[k], bsteps[k] = tb, arc_steps(tb, g)
+            covered[k] = np.sum(bsteps[k])
         short = [k for k, tb in enumerate(tbs) if not tb.left_domain and covered[k] < length]
         if not short:
             break
         t_end[short] *= np.maximum(1.5, 1.2 * length / np.maximum(covered[short], 1e-12))
-        retried = integrate_geodesic(gbar, xs[short], vbs[short], t_end[short], opts)
-        for k, tb in zip(short, retried):
-            tbs[k], bsteps[k] = tb, arc_steps(tb, g)
-            covered[k] = np.sum(bsteps[k])
     gsteps = [arc_steps(tg, g) for tg in tgs]
     g_lengths = np.array([np.sum(s) for s in gsteps])
     windows = [min(length, gl, c) for gl, c in zip(g_lengths, covered)]

@@ -319,11 +319,13 @@ def lcspec_from_json(doc: dict) -> LCSpec:
         raise ValueError(f"unknown normal-form config keys: {sorted(unknown)}")
     try:
         sizes = tuple(doc["sizes"])
-        phi = tuple(str(p) for p in doc["phi"])
+        phi = tuple(doc["phi"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"normal-form config needs sizes[] and phi[]: {exc}")
     if any(type(s) is not int for s in sizes):
         raise ValueError(f"normal-form config: sizes[] must hold integers, not {list(sizes)}")
+    if any(type(p) is not str for p in phi):
+        raise ValueError(f"normal-form config: phi[] must hold expression strings, not {list(phi)}")
     blocks = None
     if doc.get("blocks") is not None:
         grids = []
@@ -331,14 +333,17 @@ def lcspec_from_json(doc: dict) -> LCSpec:
             for grid, size in zip(doc["blocks"], sizes):
                 if grid is None:
                     grid = [["1" if i == j else "0" for j in range(size)] for i in range(size)]
-                grids.append(tuple(tuple(str(e) for e in row) for row in grid))
+                if not all(type(e) is str for row in grid for e in row):
+                    raise ValueError(f"normal-form config: blocks[] cells must be strings, not {grid}")
+                grids.append(tuple(tuple(row) for row in grid))
         except TypeError:
             raise ValueError("normal-form config: blocks[] must hold square grids or null")
         blocks = tuple(grids)
-    box = None
-    if doc.get("box") is not None:
-        try:
-            box = tuple((float(lo), float(hi)) for lo, hi in doc["box"])
-        except (TypeError, ValueError):
-            raise ValueError("normal-form config: box[] must hold [lo, hi] pairs")
+    box = doc.get("box")
+    if box is not None:
+        # bool is a subclass of int, so the types are compared exactly
+        if type(box) is not list or not all(type(b) is list and len(b) == 2 and
+                                            all(type(v) in (int, float) for v in b) for b in box):
+            raise ValueError(f"normal-form config: box[] must hold [lo, hi] number pairs, not {box!r}")
+        box = tuple((float(lo), float(hi)) for lo, hi in box)
     return LCSpec(sizes=sizes, phi=phi, blocks=blocks, box=box)

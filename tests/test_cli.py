@@ -197,13 +197,24 @@ UNIT_PAIR = {"coordinates": ["u", "v"], "g[1][1]": "1", "g[2][2]": "1",
     ("verify", {"pair": {**UNIT_PAIR, "coordinates": [1, 2]}}, {}, '"coordinates" list'),
     ("verify", {"pair": {**UNIT_PAIR, "box": [["0", "1"], ["0", "1"]]}}, {}, '"box" must'),
     ("verify", {"pair": {**UNIT_PAIR, "box": [[True, 2], [-1, 1]]}}, {}, '"box" must'),
+    ("verify", {"pair": {**UNIT_PAIR, "domain": 0.5}}, {}, '"domain" must be a string'),
+    ("verify", {"pair": {**UNIT_PAIR, "domain": True}}, {}, '"domain" must be a string'),
+    ("verify", {"pair": {**UNIT_PAIR, "g[1][1]": 1}}, {}, "'g[1][1]' must be an expression string"),
+    ("verify", {"pair": {**UNIT_PAIR, "gbar[2][2]": 2.0}}, {},
+     "'gbar[2][2]' must be an expression string"),
+    ("levi-civita-build", None, {"box": [[True, 2], [-1, 1]]}, "box[] must hold [lo, hi] number"),
+    ("levi-civita-build", None, {"box": [["0", "1"], [-1, 1]]}, "box[] must hold [lo, hi] number"),
+    ("levi-civita-build", None, {"phi": [1, 2]}, "phi[] must hold expression strings"),
+    ("levi-civita-build", None, {"blocks": [[[1]], None]}, "blocks[] cells must be strings"),
 ], ids=["points", "trajectories", "seed", "t_end", "drift_tol", "out", "out-empty",
         "out-missing-dir", "out-dir", "geodesic-out-empty", "geodesic-out-file",
         "geodesic-out-below-file", "inline-box", "lc-box", "lc-blocks", "build-box",
         "build-blocks", "lc-sizes-float", "build-sizes-float", "build-sizes-bool",
         "build-sizes-str", "inline-box-reversed", "build-box-nan", "inline-conflicting-entries",
         "inline-coordinates-str", "inline-coordinates-int", "inline-box-str",
-        "inline-box-bool"])
+        "inline-box-bool", "inline-domain-number", "inline-domain-bool", "inline-g-number",
+        "inline-gbar-number", "build-box-bool", "build-box-str", "build-phi-number",
+        "build-blocks-number"])
 def test_malformed_config_is_a_config_error(capsys, monkeypatch, tmp_path, command, run, spec,
                                             message):
     """Each is refused with exit 2 before any geodesic is integrated; relative

@@ -214,6 +214,23 @@ def test_print_parse_round_trip(expr, v1, v2):
         assert float(got) == pytest.approx(float(want), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [-0.3, -2.0, -0.0])
+def test_a_negative_literal_prints_so_that_it_parses_back(value):
+    """A literal whose sign bit is set prints as a unary minus would: as a ^
+    base or exponent, on either side of each binary operator, and under Neg,
+    the printed tree parses back to its value, the sign of a zero included."""
+    from geodequiv.dsl import Div, Mul, Neg, pow_expr
+
+    lit, x = Lit(value), Var("x1")
+    trees = [lit, Neg(lit), pow_expr(lit, Lit(2.0)), pow_expr(Lit(2.0), lit), pow_expr(x, lit)]
+    trees += [op(a, b) for op in (Add, Sub, Mul, Div) for a, b in ((lit, x), (x, lit))]
+    env = eval_env(("x1",), [np.float64(1.7)])
+    with np.errstate(divide="ignore"):
+        for e in trees:
+            want, got = e.evaluate(env), parse(str(e), ("x1",)).evaluate(env)
+            assert repr(float(got)) == repr(float(want)), (str(e), got, want)
+
+
 CATALOG_TREE_PAIRS = ("sphere", "euclidean:3", "ellipsoid:1,2,3", "ellipsoid:1,2,3,5",
                       *(f"lc-demo:{key}" for key in battery()),
                       "falsify:perturbed-lc", "falsify:random-conformal")

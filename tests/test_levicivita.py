@@ -128,6 +128,13 @@ def test_lcspec_from_json_round_trip_and_errors():
         lcspec_from_json({"phi": ["1"]})
     with pytest.raises(ValueError):
         lcspec_from_json([1, 2])
+    # values of the wrong JSON type are refused, not coerced
+    for bad, message in [({"box": [[True, 2], [-1, 1]]}, r"box\[\] must"),
+                         ({"box": [["0", "1"], [-1, 1]]}, r"box\[\] must"),
+                         ({"phi": [1, 2]}, r"phi\[\] must"),
+                         ({"blocks": [[[1]], None]}, r"blocks\[\] cells must")]:
+        with pytest.raises(ValueError, match=message):
+            lcspec_from_json({"sizes": [1, 1], "phi": ["1", "2"], **bad})
 
 
 # ---------------------------------------------------------------------------

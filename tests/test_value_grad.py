@@ -14,9 +14,10 @@ A missing slot is an exact zero, so the sparse results must equal the dense
 ones up to the sign of an exact zero, except where the dense pass made NaN
 from 0 * inf.  `dsl.phase_jacobian` feeds `integrals_jacobian`,
 `PhaseFunction.grad_batch` and the factory forms; each is compared with the
-dense pass on every pair.  It, `canonical_gradients`, `MetricField.norm`
-and `verify`'s involution-and-rank stage run the points in blocks of
-`dsl.BLOCK_ROWS` rows, which must give the bits of a single block.
+dense pass on every pair.  It, `canonical_gradients`, `MetricField.norm`,
+`verify`'s involution-and-rank stage and `factory_integrals` run the points
+in blocks of `dsl.BLOCK_ROWS` rows, which must give the bits of a single
+block.
 """
 
 import tracemalloc
@@ -393,15 +394,17 @@ def same_bits(got, want):
 @pytest.mark.parametrize("name", PAIRS)
 def test_blocks_of_rows_are_the_single_pass(name, monkeypatch):
     """Three 7-row blocks and a 2-row one give every dual and canonical
-    pass, and the g-norm, the bits of one block holding all 23 points."""
+    pass, all four factory fields, and the g-norm, the bits of one block
+    holding all 23 points."""
     pair, xs, xis = phase_sample(name, 3 * 7 + 2)
 
     def passes():
         jac = integrals.integrals_jacobian(pair, xs, xis)
+        fi = factory.factory_integrals(pair, xs, xis)
         return (jac, *canonical_gradients(jac, pair.g, xs, xis),
                 integrals.involution_matrix(jac, pair.g, xs, xis),
                 factory.omega_g_at(pair.g, xs, xis),
-                factory.factory_integrals(pair, xs, xis).coeffs,
+                fi.coeffs, fi.remainder, fi.a, fi.delta,
                 pair.g.norm(xs, xis))
 
     single, blocked = single_and_blocked(monkeypatch, passes)
@@ -488,17 +491,30 @@ def test_the_streamed_stage_is_the_whole_stack(name, monkeypatch):
     assert rank == integrals.independence_rank(jac, 1e-8)
 
 
+def report_lines(capsys, *argv):
+    """The exit code and the printed report lines of one command, but for
+    its timestamp."""
+    code = main(list(argv))
+    lines = capsys.readouterr().out.splitlines()
+    return code, [line for line in lines if '"timestamp"' not in line]
+
+
 @pytest.mark.parametrize("name", ["lc-demo:m3n4", "ellipsoid:1,2,3"])
 def test_a_verify_report_in_blocks_is_the_single_block_report(name, monkeypatch, capsys):
     """verify at 23 points prints the same bytes, but for its timestamp,
     in 7-row blocks as in one block."""
+    argv = ["verify", "--pair", name, "--points", "23", "--trajectories", "1"]
+    single, blocked = single_and_blocked(monkeypatch, lambda: report_lines(capsys, *argv))
+    assert single[0] == 0
+    assert blocked == single
 
-    def report():
-        code = main(["verify", "--pair", name, "--points", "23", "--trajectories", "1"])
-        lines = capsys.readouterr().out.splitlines()
-        return code, [line for line in lines if '"timestamp"' not in line]
 
-    single, blocked = single_and_blocked(monkeypatch, report)
+@pytest.mark.parametrize("name", ["lc-demo:m3n4", "ellipsoid:1,2,3"])
+def test_a_factory_report_in_blocks_is_the_single_block_report(name, monkeypatch, capsys):
+    """factory at 23 points prints the same bytes, but for its timestamp,
+    in 7-row blocks as in one block."""
+    argv = ["factory", "--pair", name, "--points", "23", "--trajectories", "1"]
+    single, blocked = single_and_blocked(monkeypatch, lambda: report_lines(capsys, *argv))
     assert single[0] == 0
     assert blocked == single
 
@@ -515,6 +531,25 @@ def test_the_involution_and_rank_memory_does_not_grow_with_the_points(monkeypatc
         tracemalloc.start()
         try:
             integrals.involution_and_rank(pair, xs[:count], xis[:count], 1e-8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16 * 512) < 2 * peak(512)
+
+
+def test_the_factory_memory_does_not_grow_with_the_points(monkeypatch):
+    """factory_integrals' traced peak at 16 blocks of rows stays below twice
+    its peak at one block: no (N, n + 2, 2n, 2n) form and pencil stack is
+    held whole.  Holding it reads 15.8x."""
+    monkeypatch.setattr(dsl, "BLOCK_ROWS", 512)
+    pair, xs, xis = phase_sample("lc-demo:m3n4", 16 * 512)
+    factory.factory_integrals(pair, xs[:2], xis[:2])  # first-use set-up
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            factory.factory_integrals(pair, xs[:count], xis[:count])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
